@@ -80,6 +80,22 @@ def default_r_max(sensor_count: int, snapshot_count: int) -> int:
     return min(snapshot_count // 3, sensor_count, snapshot_count - 1)
 
 
+def _resolved_r_max(r_max: int | None, channels: int, count: int, count_name: str) -> int:
+    """Maximum PCA rank for m x M data: ``r_max``, or the default when None.
+
+    Raises InfeasibleOptionsError unless it lies in 1..m and below M;
+    ``count_name`` names M in the message.
+    """
+    rank_cap = default_r_max(channels, count) if r_max is None else int(r_max)
+    if rank_cap >= count:
+        raise InfeasibleOptionsError(
+            f"r_max={rank_cap} must be smaller than the {count_name} M={count}"
+        )
+    if not 1 <= rank_cap <= channels:
+        raise InfeasibleOptionsError(f"r_max={rank_cap} must lie in 1..m={channels}")
+    return rank_cap
+
+
 def detect(
     samples,
     detector: str,
@@ -106,13 +122,7 @@ def detect(
         if detector == "itc_full":
             return mdl_itc_full(spectrum)
         return glrt_full(spectrum, p_fa)
-    rank_cap = default_r_max(channels, count) if r_max is None else int(r_max)
-    if rank_cap >= count:
-        raise InfeasibleOptionsError(
-            f"r_max={rank_cap} must be smaller than the snapshot count M={count}"
-        )
-    if not 1 <= rank_cap <= channels:
-        raise InfeasibleOptionsError(f"r_max={rank_cap} must lie in 1..m={channels}")
+    rank_cap = _resolved_r_max(r_max, channels, count, "snapshot count")
     profile = circularity_profile(data, rank_cap, rcond)
     if detector == "itc_rr":
         return mdl_itc_reduced(profile, rank_cap, count)
@@ -311,23 +321,6 @@ def trial_seed(base_seed: int, detector_index: int, sample_count: int, trial_ind
     return int(mixer.generate_state(1, np.uint64)[0])
 
 
-def _resolved_r_max(plan: ExperimentPlan, sample_count: int) -> int:
-    rank_cap = (
-        plan.r_max
-        if plan.r_max is not None
-        else default_r_max(plan.scenario.sensor_count, sample_count)
-    )
-    if rank_cap >= sample_count:
-        raise InfeasibleOptionsError(
-            f"r_max={rank_cap} must be smaller than the sample count M={sample_count}"
-        )
-    if not 1 <= rank_cap <= plan.scenario.sensor_count:
-        raise InfeasibleOptionsError(
-            f"r_max={rank_cap} must lie in 1..m={plan.scenario.sensor_count}"
-        )
-    return rank_cap
-
-
 def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveRow]:
     """Run every (detector, p_fa, M) point of the plan.
 
@@ -345,7 +338,11 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
         )
         reduced = detector.endswith("_rr")
         for count in plan.sample_counts:
-            rank_cap = _resolved_r_max(plan, count) if reduced else None
+            rank_cap = (
+                _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count, "sample count")
+                if reduced
+                else None
+            )
             hits = dict.fromkeys(pfas, 0)
             rank_totals = dict.fromkeys(pfas, 0)
             for trial in range(plan.trials):

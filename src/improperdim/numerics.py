@@ -3,7 +3,9 @@
 Chi-squared quantiles (own regularized incomplete gamma plus bracketed
 root finding, so no statistics package is involved), Takagi factorization
 of complex symmetric matrices, and Hermitian pseudoinverse square roots.
-General eigendecomposition and SVD come from numpy.linalg.
+General eigendecomposition and SVD come from numpy.linalg. scipy is
+loaded only by ``takagi``, for the matrix square root of a block of
+repeated singular values, so importing the package does not import it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 __all__ = [
     "TakagiFactorization",
@@ -192,7 +193,12 @@ def takagi(matrix: np.ndarray, symmetry_tol: float = 1e-8) -> TakagiFactorizatio
             continue
         block = slice(start, stop)
         coupling = left[:, block].T @ right[:, block]
-        root = np.sqrt(coupling) if stop - start == 1 else np.asarray(sqrtm(coupling))
+        if stop - start == 1:
+            root = np.sqrt(coupling)
+        else:
+            from scipy.linalg import sqrtm
+
+            root = np.asarray(sqrtm(coupling))
         factor[:, block] = left[:, block] @ np.conj(root)
         start = stop
     # sign flips leave F diag(k) F^T unchanged; pin them so e.g. real

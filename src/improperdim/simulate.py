@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .stats import CovariancePair
 
@@ -175,7 +174,8 @@ def ar_spatial_covariance(coefficients, innovation_variance: float, size: int) -
     gamma = list(np.linalg.solve(system, rhs))
     for k in range(order + 1, size):
         gamma.append(-sum(coeffs[j - 1] * gamma[k - j] for j in range(1, order + 1)))
-    return toeplitz(np.asarray(gamma[:size]))
+    lags = np.arange(size)
+    return np.asarray(gamma[:size])[np.abs(lags[:, None] - lags[None, :])]
 
 
 def generate_noise(

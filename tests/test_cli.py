@@ -1,9 +1,19 @@
 """End-to-end tests of the command line interface."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from improperdim import format_plan, format_scenario_config, load_dataset, parse_plan
+from improperdim import (
+    DETECTOR_NAMES,
+    ExperimentPlan,
+    format_plan,
+    format_scenario_config,
+    load_dataset,
+    parse_plan,
+)
 from improperdim.cli import main
 from helpers import array_scenario, proper_scenario, small_scenario
 
@@ -124,9 +134,6 @@ class TestParser:
 
 
 def test_console_entry_point_runs(tmp_path):
-    import subprocess
-    import sys
-
     config_path = write_config(tmp_path, small_scenario(snapshot_count=5, seed=1))
     out_path = tmp_path / "data.txt"
     proc = subprocess.run(
@@ -137,3 +144,46 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert out_path.exists()
     assert np.array_equal(load_dataset(out_path).shape, (8, 5))
+
+
+# Runs every subcommand in one fresh interpreter and reports which scipy
+# modules it loaded; importing scipy.linalg costs about 0.3 s per process.
+_IMPORT_PATH_SCRIPT = """
+import sys
+from improperdim.cli import main
+config, data, plan, curve = sys.argv[1:]
+assert main(["simulate", config, "-o", data]) == 0
+assert main(["detect", data, "--detector", "glrt-rr"]) == 0
+assert main(["montecarlo", plan, "-o", curve]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+sys.exit("scipy" in sys.modules)
+"""
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    config_path = write_config(tmp_path, small_scenario(snapshot_count=40, seed=11))
+    plan = ExperimentPlan(
+        scenario=small_scenario(),
+        sample_counts=(40,),
+        trials=1,
+        detectors=DETECTOR_NAMES,
+        p_fa_list=(0.005,),
+        base_seed=12,
+    )
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text(format_plan(plan))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            _IMPORT_PATH_SCRIPT,
+            str(config_path),
+            str(tmp_path / "data.txt"),
+            str(plan_path),
+            str(tmp_path / "curve.csv"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

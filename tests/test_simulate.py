@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from improperdim import (
     NoiseSpec,
@@ -20,6 +21,33 @@ from improperdim import (
     steering_matrix,
 )
 from helpers import AR_COEFFICIENTS, array_scenario, proper_scenario
+
+
+class TestArSpatialCovariance:
+    # AR orders 0, 1 and 4 at sizes 1, the order itself (when nonzero) and 60
+    @pytest.mark.parametrize(
+        "coefficients, size",
+        [((), 1), ((), 60), ((-0.5,), 1), ((-0.5,), 60), (AR_COEFFICIENTS, 1),
+         (AR_COEFFICIENTS, 4), (AR_COEFFICIENTS, 60)],
+    )
+    def test_matches_scipy_toeplitz_bit_for_bit(self, coefficients, size):
+        model = ar_spatial_covariance(coefficients, 0.25, size)
+        reference = toeplitz(model[:, 0])
+        assert model.shape == reference.shape == (size, size)
+        assert model.dtype == reference.dtype
+        assert model.tobytes() == reference.tobytes()
+
+    def test_criterion_2_population_covariances_unchanged(self):
+        config = array_scenario("spatial_ar")
+        mixing = steering_matrix(config.angles_deg, config.sensor_count)
+        powers = np.array([s.variance for s in config.sources])
+        pseudo_powers = np.array([s.variance * s.circularity for s in config.sources])
+        first_column = ar_spatial_covariance(AR_COEFFICIENTS, 0.25, config.sensor_count)[:, 0]
+        noise = np.asarray(toeplitz(first_column), dtype=np.complex128)
+        pair = population_covariances(config)
+        expected = noise + (mixing * powers) @ mixing.conj().T
+        assert pair.covariance.tobytes() == expected.tobytes()
+        assert pair.complementary.tobytes() == ((mixing * pseudo_powers) @ mixing.T).tobytes()
 
 
 class TestSteeringMatrix:
