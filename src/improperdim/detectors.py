@@ -218,23 +218,31 @@ def _threshold(df: int, p_fa: float) -> float:
     return chi2_quantile(df, 1.0 - p_fa)
 
 
+def _glrt_row(
+    spectrum: CircularitySpectrum, multiplier: float, df_rule: str, p_fa: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Statistics -multiplier * sum_{i>s} ln(1 - k_i^2) of a rank-r spectrum,
+    their thresholds at 1 - p_fa for s = 0..r-1, and the first accepted
+    order (r when every order is rejected)."""
+    if not 0.0 < p_fa < 1.0:
+        raise ValueError("p_fa must lie strictly between 0 and 1")
+    rank = spectrum.rank_context
+    logs = _log_residuals(spectrum.coefficients)
+    statistics = -float(multiplier) * np.cumsum(logs[::-1])[::-1]
+    thresholds = np.array([_threshold(_box_df(rank, s, df_rule), p_fa) for s in range(rank)])
+    accepted = statistics < thresholds
+    return statistics, thresholds, int(np.argmax(accepted)) if accepted.any() else rank
+
+
 def glrt_full(spectrum: CircularitySpectrum, p_fa: float) -> DetectionResult:
     """Sequential tests on a full-space spectrum.
 
     Starting at order 0, accept the first s whose statistic falls below
     the chi-squared quantile at 1 - p_fa; if every s up to m - 1 is
-    rejected the estimate saturates at m.
+    rejected the estimate saturates at m. This is the reduced-rank test's
+    row at r = m, with multiplier M and the "derived" d.f. (m-s)(m-s+1).
     """
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError("p_fa must lie strictly between 0 and 1")
-    size = spectrum.rank_context
-    logs = _log_residuals(spectrum.coefficients)
-    statistics = -float(spectrum.sample_count) * np.cumsum(logs[::-1])[::-1]
-    thresholds = np.array(
-        [_threshold((size - s) * (size - s + 1), p_fa) for s in range(size)]
-    )
-    accepted = statistics < thresholds
-    estimate = int(np.argmax(accepted)) if accepted.any() else size
+    statistics, thresholds, estimate = _glrt_row(spectrum, spectrum.sample_count, "derived", p_fa)
     return DetectionResult(estimate=estimate, statistics=statistics, thresholds=thresholds)
 
 
@@ -250,8 +258,6 @@ def glrt_reduced(
     the estimate is the maximum stop over ranks 1..r_max and the selected
     rank the smallest one attaining it.
     """
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError("p_fa must lie strictly between 0 and 1")
     if not 1 <= r_max <= len(profile):
         raise ValueError("r_max must lie in 1..len(profile)")
     if r_max >= profile[0].sample_count:
@@ -261,15 +267,9 @@ def glrt_reduced(
     stops = np.zeros(r_max, dtype=int)
     for rank in range(1, r_max + 1):
         spectrum = profile[rank - 1]
-        logs = _log_residuals(spectrum.coefficients)
-        row = -float(spectrum.sample_count - rank) * np.cumsum(logs[::-1])[::-1]
-        row_thresholds = np.array(
-            [_threshold(_box_df(rank, s, df_rule), p_fa) for s in range(rank)]
+        statistics[rank - 1, :rank], thresholds[rank - 1, :rank], stops[rank - 1] = _glrt_row(
+            spectrum, spectrum.sample_count - rank, df_rule, p_fa
         )
-        statistics[rank - 1, :rank] = row
-        thresholds[rank - 1, :rank] = row_thresholds
-        accepted = row < row_thresholds
-        stops[rank - 1] = int(np.argmax(accepted)) if accepted.any() else rank
     estimate = int(stops.max())
     selected_rank = int(np.argmax(stops == estimate)) + 1
     return GlrtDiagnostics(statistics, thresholds, float(p_fa), stops, selected_rank, estimate)

@@ -96,6 +96,29 @@ def _resolved_r_max(r_max: int | None, channels: int, count: int, count_name: st
     return rank_cap
 
 
+def _unit_scaled(data: np.ndarray) -> np.ndarray:
+    """``data`` times the power of two that puts its largest real or
+    imaginary part in [0.5, 1): exact, and the coefficients are scale
+    invariant, so covariances stay clear of overflow and underflow."""
+    parts = np.ascontiguousarray(data).view(np.float64)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
+
+
+def _decide(data, detector: str, rank_cap, p_fas, rcond: float, box_df: str) -> dict:
+    """One detector on a validated data matrix: {p_fa: result}. One spectrum
+    or rank profile serves every p_fa; MDL maps every key to one result."""
+    data = _unit_scaled(data)
+    if detector.endswith("_full"):
+        spectrum = circularity_coefficients(sample_covariances(data), rcond)
+        if detector == "itc_full":
+            return dict.fromkeys(p_fas, mdl_itc_full(spectrum))
+        return {p_fa: glrt_full(spectrum, p_fa) for p_fa in p_fas}
+    profile = circularity_profile(data, rank_cap, rcond)
+    if detector == "itc_rr":
+        return dict.fromkeys(p_fas, mdl_itc_reduced(profile, rank_cap, data.shape[1]))
+    return {p_fa: glrt_reduced(profile, rank_cap, p_fa, df_rule=box_df) for p_fa in p_fas}
+
+
 def detect(
     samples,
     detector: str,
@@ -109,7 +132,8 @@ def detect(
 
     Returns the detector's own result object (DetectionResult for the
     full-sample variants, ItcDiagnostics/GlrtDiagnostics for the
-    reduced-rank ones); every result carries ``estimate``.
+    reduced-rank ones); every result carries ``estimate``. Results are
+    bit-identical under power-of-two scaling across the double range.
     """
     data = as_data_matrix(samples)
     channels, count = data.shape
@@ -117,16 +141,9 @@ def detect(
         raise ValueError(
             f"unknown detector '{detector}' (expected one of {', '.join(DETECTOR_NAMES)})"
         )
-    if detector in ("itc_full", "glrt_full"):
-        spectrum = circularity_coefficients(sample_covariances(data), rcond)
-        if detector == "itc_full":
-            return mdl_itc_full(spectrum)
-        return glrt_full(spectrum, p_fa)
-    rank_cap = _resolved_r_max(r_max, channels, count, "snapshot count")
-    profile = circularity_profile(data, rank_cap, rcond)
-    if detector == "itc_rr":
-        return mdl_itc_reduced(profile, rank_cap, count)
-    return glrt_reduced(profile, rank_cap, p_fa, df_rule=box_df)
+    reduced = detector.endswith("_rr")
+    rank_cap = _resolved_r_max(r_max, channels, count, "snapshot count") if reduced else None
+    return _decide(data, detector, rank_cap, (p_fa,), rcond, box_df)[p_fa]
 
 
 def run_detection(
@@ -324,67 +341,43 @@ def trial_seed(base_seed: int, detector_index: int, sample_count: int, trial_ind
 def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveRow]:
     """Run every (detector, p_fa, M) point of the plan.
 
-    A detection counts as a success only when the estimate equals the true
-    improper source count exactly. Results are independent of detector
-    ordering in the plan because per-trial seeds hash the canonical
-    detector index.
+    Each trial decides through the same dispatch as ``detect``, and a
+    detection counts as a success only when the estimate equals the true
+    improper source count exactly. An infeasible r_max fails before the
+    first trial. Results are independent of detector ordering in the plan
+    because per-trial seeds hash the canonical detector index.
     """
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
-    cells: dict[tuple, CurveRow] = {}
+    rank_caps = {
+        count: _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count, "sample count")
+        for count in plan.sample_counts
+        if any(name.endswith("_rr") for name in plan.detectors)
+    }
+    rows = []
     for detector in plan.detectors:
         detector_index = DETECTOR_NAMES.index(detector)
-        pfas: tuple[float | None, ...] = (
-            plan.p_fa_list if detector.startswith("glrt") else (None,)
-        )
+        pfas = plan.p_fa_list if detector.startswith("glrt") else (None,)
         reduced = detector.endswith("_rr")
+        curves = {p_fa: [] for p_fa in pfas}
         for count in plan.sample_counts:
-            rank_cap = (
-                _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count, "sample count")
-                if reduced
-                else None
-            )
+            rank_cap = rank_caps.get(count)
             hits = dict.fromkeys(pfas, 0)
             rank_totals = dict.fromkeys(pfas, 0)
             for trial in range(plan.trials):
-                config = replace(
-                    plan.scenario,
-                    snapshot_count=count,
-                    seed=trial_seed(plan.base_seed, detector_index, count, trial),
-                )
-                data = generate_scenario(config)
-                if detector == "itc_full":
-                    outcome = mdl_itc_full(circularity_coefficients(sample_covariances(data)))
-                    hits[None] += outcome.estimate == true_dim
-                elif detector == "glrt_full":
-                    spectrum = circularity_coefficients(sample_covariances(data))
-                    for p_fa in pfas:
-                        hits[p_fa] += glrt_full(spectrum, p_fa).estimate == true_dim
-                elif detector == "itc_rr":
-                    profile = circularity_profile(data, rank_cap)
-                    outcome = mdl_itc_reduced(profile, rank_cap, count)
-                    hits[None] += outcome.estimate == true_dim
-                    rank_totals[None] += outcome.selected_rank
-                else:
-                    profile = circularity_profile(data, rank_cap)
-                    for p_fa in pfas:
-                        outcome = glrt_reduced(profile, rank_cap, p_fa, df_rule=box_df)
-                        hits[p_fa] += outcome.estimate == true_dim
+                seed = trial_seed(plan.base_seed, detector_index, count, trial)
+                data = generate_scenario(replace(plan.scenario, snapshot_count=count, seed=seed))
+                outcomes = _decide(data, detector, rank_cap, pfas, DEFAULT_RCOND, box_df)
+                for p_fa, outcome in outcomes.items():
+                    hits[p_fa] += outcome.estimate == true_dim
+                    if reduced:
                         rank_totals[p_fa] += outcome.selected_rank
             for p_fa in pfas:
-                cells[(detector, p_fa, count)] = CurveRow(
-                    detector=detector,
-                    p_fa=p_fa,
-                    sample_count=count,
-                    trials=plan.trials,
-                    p_detect=hits[p_fa] / plan.trials,
-                    mean_selected_rank=rank_totals[p_fa] / plan.trials if reduced else None,
-                )
-    rows = []
-    for detector in plan.detectors:
-        pfas = plan.p_fa_list if detector.startswith("glrt") else (None,)
+                p_detect = hits[p_fa] / plan.trials
+                mean_rank = rank_totals[p_fa] / plan.trials if reduced else None
+                row = CurveRow(detector, p_fa, count, plan.trials, p_detect, mean_rank)
+                curves[p_fa].append(row)
         for p_fa in pfas:
-            for count in plan.sample_counts:
-                rows.append(cells[(detector, p_fa, count)])
+            rows.extend(curves[p_fa])
     return rows
 
 

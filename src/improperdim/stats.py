@@ -2,7 +2,8 @@
 
 Sample covariance and complementary covariance, augmented covariance
 assembly, circularity coefficients (canonical correlations between the
-data and its conjugate), and PCA rank reduction.
+data and its conjugate) and rank-r profiles from one principal-basis
+engine, and PCA rank reduction.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import hermitian_inv_sqrt
 
 __all__ = [
     "CircularitySpectrum",
@@ -89,26 +88,47 @@ def augmented_covariance(pair: CovariancePair) -> np.ndarray:
     return np.block([[cov, comp], [comp.conj(), cov.conj()]])
 
 
+def _principal_spectra(pair: CovariancePair, ranks, rcond: float) -> list[CircularitySpectrum]:
+    """Coefficients of the rank-r PCA description for each r in ``ranks``
+    (None: r = m only). In the covariance's eigenbasis the rank-r
+    covariance is diagonal, so each rank costs one small SVD; eigenvalues
+    at or below ``rcond`` times the largest get a zero inverse root."""
+    cov = np.asarray(pair.covariance, dtype=np.complex128)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
+        raise ValueError("expected a nonempty square matrix")
+    if not 0.0 < rcond < 1.0:
+        raise ValueError("rcond must lie in (0, 1)")
+    if np.max(np.abs(cov - cov.conj().T)) > 1e-8:
+        raise ValueError("matrix is not Hermitian")
+    values, vectors = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+    values, vectors = values[::-1], vectors[:, ::-1]
+    if values[0] <= 0.0:
+        raise ValueError("rank zero covariance")
+    rotated = vectors.conj().T @ pair.complementary @ vectors.conj()
+    rotated = 0.5 * (rotated + rotated.T)
+    spectra = []
+    for rank in (cov.shape[0],) if ranks is None else ranks:
+        leading = values[:rank]
+        keep = leading > rcond * values[0]
+        inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, leading, 1.0)), 0.0)
+        coherence = (inv_roots[:, None] * rotated[:rank, :rank]) * inv_roots[None, :]
+        coeffs = np.linalg.svd(0.5 * (coherence + coherence.T), compute_uv=False)
+        spectra.append(CircularitySpectrum(np.clip(coeffs, 0.0, 1.0), rank, pair.sample_count))
+    return spectra
+
+
 def circularity_coefficients(
     pair: CovariancePair, rcond: float = DEFAULT_RCOND
 ) -> CircularitySpectrum:
     """Circularity coefficients of a covariance pair.
 
     Singular values of the coherence matrix (the complementary covariance
-    whitened on both sides by the Hermitian inverse square root of the
-    covariance), sorted descending and clamped to [0, 1].
+    whitened on both sides by the pseudoinverse square root of the
+    covariance), sorted descending and clamped to [0, 1]: the rank-m entry
+    of ``circularity_profile``'s engine. The covariance must be nonempty,
+    square, Hermitian within 1e-8 and nonzero; ``rcond`` lies in (0, 1).
     """
-    root = hermitian_inv_sqrt(pair.covariance, rcond)
-    # root is Hermitian, so root.T is its conjugate and the coherence
-    # matrix stays complex symmetric
-    coherence = root @ pair.complementary @ root.T
-    coherence = 0.5 * (coherence + coherence.T)
-    values = np.linalg.svd(coherence, compute_uv=False)
-    return CircularitySpectrum(
-        coefficients=np.clip(values, 0.0, 1.0),
-        rank_context=pair.covariance.shape[0],
-        sample_count=pair.sample_count,
-    )
+    return _principal_spectra(pair, None, rcond)[0]
 
 
 def _principal_basis(covariance: np.ndarray, rank: int) -> np.ndarray:
@@ -143,29 +163,12 @@ def circularity_profile(
     """Circularity coefficients of the rank-r PCA description, r = 1..r_max.
 
     Equivalent to pca_reduce -> sample_covariances ->
-    circularity_coefficients at every rank, but the eigendecomposition of
-    the full sample covariance is reused: in the principal basis the
-    rank-r covariance is diagonal, so the whole sweep costs one
-    eigendecomposition plus r_max small SVDs.
+    circularity_coefficients at every rank, and the same engine: in the
+    principal basis the rank-r covariance is diagonal, so the sweep costs
+    one eigendecomposition plus r_max small SVDs.
     """
     data = as_data_matrix(samples)
     channels, count = data.shape
     if not 1 <= r_max <= min(channels, count):
         raise ValueError("r_max must lie in 1..min(channels, snapshots)")
-    pair = sample_covariances(data)
-    values, vectors = np.linalg.eigh(pair.covariance)
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    if values[0] <= 0.0:
-        raise ValueError("rank zero covariance")
-    rotated = vectors.conj().T @ pair.complementary @ vectors.conj()
-    rotated = 0.5 * (rotated + rotated.T)
-    spectra = []
-    for rank in range(1, r_max + 1):
-        leading = values[:rank]
-        keep = leading > rcond * values[0]
-        inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, leading, 1.0)), 0.0)
-        coherence = (inv_roots[:, None] * rotated[:rank, :rank]) * inv_roots[None, :]
-        coeffs = np.linalg.svd(0.5 * (coherence + coherence.T), compute_uv=False)
-        spectra.append(CircularitySpectrum(np.clip(coeffs, 0.0, 1.0), rank, count))
-    return spectra
+    return _principal_spectra(sample_covariances(data), range(1, r_max + 1), rcond)

@@ -86,6 +86,15 @@ class TestDetect:
         main(["simulate", str(config_path), "-o", str(data_path)])
         assert main(["detect", str(data_path), "--detector", "itc-rr", "--rmax", "20"]) == 3
 
+    def test_huge_source_variance_round_trip(self, tmp_path, capsys):
+        # covariances of these data overflow unless detection rescales them
+        config = small_scenario(variances=(1e308, 5.0), snapshot_count=400, seed=8)
+        data_path = tmp_path / "huge.txt"
+        assert main(["simulate", str(write_config(tmp_path, config)), "-o", str(data_path)]) == 0
+        for detector in ("itc-full", "glrt-full", "itc-rr", "glrt-rr"):
+            assert main(["detect", str(data_path), "--detector", detector]) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_box_df_flag(self, tmp_path):
         config_path = write_config(tmp_path, small_scenario(snapshot_count=400, seed=7))
         data_path = tmp_path / "d.txt"

@@ -1,10 +1,14 @@
 """Tests for detector dispatch, plans, Monte Carlo runs, and CSV output."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from improperdim import harness
 from improperdim import (
     CSV_HEADER,
+    DETECTOR_NAMES,
     DetectionResult,
     ExperimentPlan,
     FormatError,
@@ -93,6 +97,34 @@ class TestDetectDispatch:
         derived = detect(data, "glrt_rr", box_df="derived")
         printed = detect(data, "glrt_rr", box_df="printed")
         assert not np.array_equal(derived.thresholds, printed.thresholds, equal_nan=True)
+
+
+def assert_same_result(first, second):
+    assert type(first) is type(second)
+    for field in dataclasses.fields(first):
+        mine, theirs = getattr(first, field.name), getattr(second, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field.name
+        else:
+            assert mine == theirs, field.name
+
+
+class TestScaleRobustDetection:
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    def test_power_of_two_scaling_is_bit_identical(self, detector):
+        data = generate_scenario(small_scenario(snapshot_count=300, seed=12))
+        reference = detect(data, detector)
+        for exponent in (-600, -7, 5, 600):
+            scaled = np.ldexp(data.real, exponent) + 1j * np.ldexp(data.imag, exponent)
+            assert_same_result(detect(scaled, detector), reference)
+
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    def test_extreme_scales_keep_the_estimate(self, detector):
+        data = generate_scenario(small_scenario(snapshot_count=300, seed=13))
+        reference = detect(data, detector).estimate
+        assert reference == 2
+        for scale in (1e-170, 1e160):
+            assert detect(scale * data, detector).estimate == reference
 
 
 class TestRunDetection:
@@ -265,6 +297,28 @@ class TestRunExperiment:
         )
         with pytest.raises(InfeasibleOptionsError):
             run_experiment(plan)
+
+    def test_infeasible_r_max_fails_before_the_first_trial(self, monkeypatch):
+        generated = []
+        real_generate = harness.generate_scenario
+
+        def counting_generate(config):
+            generated.append(config)
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", counting_generate)
+        plan = ExperimentPlan(
+            scenario=small_scenario(snapshot_count=300, seed=0),
+            sample_counts=(100, 300),
+            trials=2,
+            detectors=("itc_full", "glrt_full", "itc_rr"),
+            p_fa_list=(0.01,),
+            base_seed=1,
+            r_max=9,
+        )
+        with pytest.raises(InfeasibleOptionsError, match=r"r_max=9 must lie in 1\.\.m=8"):
+            run_experiment(plan)
+        assert generated == []
 
 
 class TestCsvOutput:

@@ -9,10 +9,12 @@ from improperdim import (
     circularity_coefficients,
     circularity_profile,
     generate_scenario,
+    hermitian_inv_sqrt,
     pca_reduce,
+    population_covariances,
     sample_covariances,
 )
-from helpers import small_scenario
+from helpers import array_scenario, small_scenario
 
 
 def proper_white(rng, channels, count):
@@ -115,6 +117,45 @@ class TestCircularityCoefficients:
         pair = CovariancePair(np.zeros((3, 3)), np.zeros((3, 3)), 4)
         with pytest.raises(ValueError, match="rank zero covariance"):
             circularity_coefficients(pair)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("sample", "white", 1000),
+            ("sample", "ar", 1000),
+            ("sample", "white", 90),
+            ("sample", "ar", 50),
+            ("population", "white", None),
+            ("population", "ar", None),
+        ],
+    )
+    def test_matches_hermitian_root_reference(self, source):
+        # independent route: svd(R^{-1/2} R~ R^{-T/2}) with the Hermitian root
+        kind, noise, count = source
+        config = array_scenario(noise, snapshot_count=count or 1000, seed=31)
+        if kind == "sample":
+            pair = sample_covariances(generate_scenario(config))
+        else:
+            pair = population_covariances(config)
+        root = hermitian_inv_sqrt(pair.covariance)
+        coherence = root @ pair.complementary @ root.T
+        reference = np.linalg.svd(0.5 * (coherence + coherence.T), compute_uv=False)
+        spectrum = circularity_coefficients(pair)
+        assert spectrum.rank_context == 60
+        assert np.abs(spectrum.coefficients - np.clip(reference, 0.0, 1.0)).max() <= 1e-12
+
+    def test_rejects_malformed_pairs(self):
+        square = np.eye(3, dtype=complex)
+        skewed = square.copy()
+        skewed[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            circularity_coefficients(CovariancePair(skewed, square, 10))
+        for rcond in (0.0, 1.0, -1e-3, 2.0):
+            with pytest.raises(ValueError, match="rcond"):
+                circularity_coefficients(CovariancePair(square, square, 10), rcond)
+        for covariance in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match="nonempty square"):
+                circularity_coefficients(CovariancePair(covariance, covariance, 10))
 
 
 class TestPcaReduce:
