@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .fileio import (
 from .simulate import ScenarioConfig, generate_scenario
 from .stats import (
     DEFAULT_RCOND,
+    _unit_scaled,
     as_data_matrix,
     circularity_coefficients,
     circularity_profile,
@@ -96,20 +98,13 @@ def _resolved_r_max(r_max: int | None, channels: int, count: int, count_name: st
     return rank_cap
 
 
-def _unit_scaled(data: np.ndarray) -> np.ndarray:
-    """``data`` times the power of two that puts its largest real or
-    imaginary part in [0.5, 1): exact, and the coefficients are scale
-    invariant, so covariances stay clear of overflow and underflow."""
-    parts = np.ascontiguousarray(data).view(np.float64)
-    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
-
-
 def _decide(data, detector: str, rank_cap, p_fas, rcond: float, box_df: str) -> dict:
     """One detector on a validated data matrix: {p_fa: result}. One spectrum
-    or rank profile serves every p_fa; MDL maps every key to one result."""
-    data = _unit_scaled(data)
+    or rank profile serves every p_fa; MDL maps every key to one result.
+    Both scale the data by a power of two first (the profile does it
+    itself), so detection works across the double range."""
     if detector.endswith("_full"):
-        spectrum = circularity_coefficients(sample_covariances(data), rcond)
+        spectrum = circularity_coefficients(sample_covariances(_unit_scaled(data)), rcond)
         if detector == "itc_full":
             return dict.fromkeys(p_fas, mdl_itc_full(spectrum))
         return {p_fa: glrt_full(spectrum, p_fa) for p_fa in p_fas}
@@ -338,6 +333,87 @@ def trial_seed(base_seed: int, detector_index: int, sample_count: int, trial_ind
     return int(mixer.generate_state(1, np.uint64)[0])
 
 
+def _p_fas(plan: ExperimentPlan, detector: str) -> tuple:
+    """The p_fa values of a detector's curves; MDL has one, None."""
+    return plan.p_fa_list if detector.startswith("glrt") else (None,)
+
+
+def _run_trial(plan: ExperimentPlan, rank_caps: dict, box_df: str, task) -> tuple:
+    """One Monte Carlo trial, ``task`` = (detector, M, trial index): one
+    (estimate, selected_rank) pair per p_fa of the detector. The one trial
+    function of the in-process run and of the worker pool."""
+    detector, count, trial = task
+    seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index(detector), count, trial)
+    data = generate_scenario(replace(plan.scenario, snapshot_count=count, seed=seed))
+    p_fas = _p_fas(plan, detector)
+    outcomes = _decide(data, detector, rank_caps.get(count), p_fas, DEFAULT_RCOND, box_df)
+    return tuple((outcomes[p_fa].estimate, outcomes[p_fa].selected_rank) for p_fa in p_fas)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# system, ILP64, and numpy/scipy wheel (scipy-openblas) builds
+_OPENBLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
+
+
+def _one_openblas_thread() -> None:
+    """Give every OpenBLAS mapped into this process (Linux) one thread.
+
+    A forked worker inherits the parent's BLAS thread count; two workers
+    with two OpenBLAS threads each ran a sweep 3-8x slower on two cores.
+    Other BLAS builds are left to their environment variables.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for name in _OPENBLAS_THREAD_SETTERS:
+                if hasattr(library, name):
+                    getattr(library, name)(1)
+    except OSError:
+        pass
+
+
+# Each worker pays the fork and a cold first trial of every detector (up
+# to 0.2 s on 2 cores); on 60-channel plans, two workers lost to one
+# process up to 12 white-noise trials and won from 16 on.
+_TRIALS_PER_WORKER = 8
+
+
+def _map_trials(trial, tasks: list) -> list:
+    """``trial`` of every task, in task order, over one forked worker
+    process per usable CPU, at most one per ``_TRIALS_PER_WORKER`` tasks.
+    One worker, or a platform without the fork start method, runs
+    in-process without importing multiprocessing. A worker that dies (say,
+    killed for memory) raises OSError, where multiprocessing.Pool would
+    wait forever."""
+    workers = min(_usable_cpus(), len(tasks) // _TRIALS_PER_WORKER)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, context, _one_openblas_thread) as pool:
+                try:
+                    return list(pool.map(trial, tasks))
+                except BrokenProcessPool as exc:
+                    raise OSError(f"a worker process died: {exc}") from exc
+    return [trial(task) for task in tasks]
+
+
 def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveRow]:
     """Run every (detector, p_fa, M) point of the plan.
 
@@ -346,6 +422,16 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
     improper source count exactly. An infeasible r_max fails before the
     first trial. Results are independent of detector ordering in the plan
     because per-trial seeds hash the canonical detector index.
+
+    The trials run over one forked worker process per usable CPU (the
+    process's CPU affinity, so ``taskset`` limits them), at most one per
+    eight trials; a single worker runs them in this process. Every trial's
+    seed is a pure hash of (seed, detector, M, trial) and the rows sum
+    integer hit and rank counts in (detector, p_fa, M, trial) order, so the
+    rows are identical for every worker count. An exception in a trial
+    reaches the caller with its type and message; a worker that dies
+    raises OSError. Workers set OpenBLAS to one thread each; pin other
+    BLAS builds to one thread (``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``).
     """
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
     rank_caps = {
@@ -353,31 +439,23 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
         for count in plan.sample_counts
         if any(name.endswith("_rr") for name in plan.detectors)
     }
+    tasks = [
+        (detector, count, trial)
+        for detector in plan.detectors
+        for count in plan.sample_counts
+        for trial in range(plan.trials)
+    ]
+    run_trial = partial(_run_trial, plan, rank_caps, box_df)
+    outcomes = dict(zip(tasks, _map_trials(run_trial, tasks)))
     rows = []
     for detector in plan.detectors:
-        detector_index = DETECTOR_NAMES.index(detector)
-        pfas = plan.p_fa_list if detector.startswith("glrt") else (None,)
         reduced = detector.endswith("_rr")
-        curves = {p_fa: [] for p_fa in pfas}
-        for count in plan.sample_counts:
-            rank_cap = rank_caps.get(count)
-            hits = dict.fromkeys(pfas, 0)
-            rank_totals = dict.fromkeys(pfas, 0)
-            for trial in range(plan.trials):
-                seed = trial_seed(plan.base_seed, detector_index, count, trial)
-                data = generate_scenario(replace(plan.scenario, snapshot_count=count, seed=seed))
-                outcomes = _decide(data, detector, rank_cap, pfas, DEFAULT_RCOND, box_df)
-                for p_fa, outcome in outcomes.items():
-                    hits[p_fa] += outcome.estimate == true_dim
-                    if reduced:
-                        rank_totals[p_fa] += outcome.selected_rank
-            for p_fa in pfas:
-                p_detect = hits[p_fa] / plan.trials
-                mean_rank = rank_totals[p_fa] / plan.trials if reduced else None
-                row = CurveRow(detector, p_fa, count, plan.trials, p_detect, mean_rank)
-                curves[p_fa].append(row)
-        for p_fa in pfas:
-            rows.extend(curves[p_fa])
+        for column, p_fa in enumerate(_p_fas(plan, detector)):
+            for count in plan.sample_counts:
+                picks = [outcomes[detector, count, trial][column] for trial in range(plan.trials)]
+                p_detect = sum(estimate == true_dim for estimate, _ in picks) / plan.trials
+                mean_rank = sum(rank for _, rank in picks) / plan.trials if reduced else None
+                rows.append(CurveRow(detector, p_fa, count, plan.trials, p_detect, mean_rank))
     return rows
 
 

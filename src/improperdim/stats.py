@@ -64,6 +64,14 @@ def as_data_matrix(samples) -> np.ndarray:
     return data
 
 
+def _unit_scaled(data: np.ndarray) -> np.ndarray:
+    """``data`` times the power of two that puts its largest real or
+    imaginary part in [0.5, 1): exact, and the coefficients are scale
+    invariant, so covariances stay clear of overflow and underflow."""
+    parts = np.ascontiguousarray(data).view(np.float64)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
+
+
 def sample_covariances(samples) -> CovariancePair:
     """Sample covariance and complementary covariance with 1/M scaling.
 
@@ -96,6 +104,8 @@ def _principal_spectra(pair: CovariancePair, ranks, rcond: float) -> list[Circul
     cov = np.asarray(pair.covariance, dtype=np.complex128)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
+    if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(pair.complementary))):
+        raise ValueError("covariance is not finite")
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
     if np.max(np.abs(cov - cov.conj().T)) > 1e-8:
@@ -165,10 +175,12 @@ def circularity_profile(
     Equivalent to pca_reduce -> sample_covariances ->
     circularity_coefficients at every rank, and the same engine: in the
     principal basis the rank-r covariance is diagonal, so the sweep costs
-    one eigendecomposition plus r_max small SVDs.
+    one eigendecomposition plus r_max small SVDs. The data are first
+    scaled by an exact power of two, so the profile is the same across the
+    double range and bit-identical under power-of-two scaling.
     """
     data = as_data_matrix(samples)
     channels, count = data.shape
     if not 1 <= r_max <= min(channels, count):
         raise ValueError("r_max must lie in 1..min(channels, snapshots)")
-    return _principal_spectra(sample_covariances(data), range(1, r_max + 1), rcond)
+    return _principal_spectra(sample_covariances(_unit_scaled(data)), range(1, r_max + 1), rcond)

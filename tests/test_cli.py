@@ -13,7 +13,9 @@ from improperdim import (
     format_scenario_config,
     load_dataset,
     parse_plan,
+    trial_seed,
 )
+from improperdim import harness
 from improperdim.cli import main
 from helpers import array_scenario, proper_scenario, small_scenario
 
@@ -107,14 +109,7 @@ class TestDetect:
 
 class TestMontecarlo:
     def test_writes_csv(self, tmp_path, capsys):
-        plan = parse_plan(
-            "m = 8\nangles_deg = 40, 70\nsource_variances = 5, 5\n"
-            "source_circularities = 0.9, 0.7\nnoise_kind = white\nnoise_variance = 1\n"
-            "trials = 1\nsample_counts = 300\ndetectors = itc_rr, glrt_rr\n"
-            "pfa_list = 0.005\nseed = 2\n"
-        )
-        plan_path = tmp_path / "plan.txt"
-        plan_path.write_text(format_plan(plan))
+        plan_path = write_plan(tmp_path)
         out_path = tmp_path / "curve.csv"
         assert main(["montecarlo", str(plan_path), "-o", str(out_path)]) == 0
         lines = out_path.read_text().splitlines()
@@ -128,6 +123,76 @@ class TestMontecarlo:
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text("trials = 1\n")
         assert main(["montecarlo", str(plan_path), "-o", str(tmp_path / "c.csv")]) == 2
+
+    def test_csv_identical_for_every_cpu_count(self, tmp_path, monkeypatch):
+        plan_path = write_plan(tmp_path, trials=8)
+        csvs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            out_path = tmp_path / f"curve{cpus}.csv"
+            assert main(["montecarlo", str(plan_path), "-o", str(out_path)]) == 0
+            csvs.append(out_path.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            ('raise ValueError(f"trial with seed {seed} failed")', "trial with seed {seed} failed"),
+            ("os._exit(1)", "a worker process died: "),
+        ],
+        ids=["trial-raises", "worker-dies"],
+    )
+    def test_worker_failure_exits_2_without_a_csv(self, tmp_path, failure, message):
+        plan_path = write_plan(tmp_path, trials=8)
+        plan = parse_plan(plan_path.read_text())
+        seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index("glrt_rr"), 300, 1)
+        out_path = tmp_path / "curve.csv"
+        script = _FAILING_TRIAL_SCRIPT.replace("FAILURE", failure)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(plan_path), str(out_path), str(seed)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: " + message.format(seed=seed)), proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out_path.exists()
+
+
+# Runs montecarlo over two workers with one trial made to fail (FAILURE is
+# replaced by a statement); the trial fails inside a worker process.
+_FAILING_TRIAL_SCRIPT = """
+import os
+import sys
+from improperdim import harness
+from improperdim.cli import main
+plan, curve, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+real_generate = harness.generate_scenario
+parent = os.getpid()
+
+def failing_generate(config):
+    if config.seed == seed:
+        assert os.getpid() != parent
+        FAILURE
+    return real_generate(config)
+
+harness.generate_scenario = failing_generate
+harness._usable_cpus = lambda: 2
+sys.exit(main(["montecarlo", plan, "-o", curve]))
+"""
+
+
+def write_plan(tmp_path, trials=1):
+    plan = parse_plan(
+        "m = 8\nangles_deg = 40, 70\nsource_variances = 5, 5\n"
+        "source_circularities = 0.9, 0.7\nnoise_kind = white\nnoise_variance = 1\n"
+        f"trials = {trials}\nsample_counts = 300\ndetectors = itc_rr, glrt_rr\n"
+        "pfa_list = 0.005\nseed = 2\n"
+    )
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text(format_plan(plan))
+    return plan_path
 
 
 class TestParser:
@@ -169,7 +234,9 @@ sys.exit("scipy" in sys.modules)
 """
 
 
-def test_cli_never_imports_scipy(tmp_path):
+def run_every_subcommand(tmp_path, script):
+    """Run ``script`` in a fresh interpreter with a scenario config, a
+    dataset path, a one-trial four-detector plan and a CSV path."""
     config_path = write_config(tmp_path, small_scenario(snapshot_count=40, seed=11))
     plan = ExperimentPlan(
         scenario=small_scenario(),
@@ -181,18 +248,44 @@ def test_cli_never_imports_scipy(tmp_path):
     )
     plan_path = tmp_path / "plan.txt"
     plan_path.write_text(format_plan(plan))
+    paths = (config_path, tmp_path / "data.txt", plan_path, tmp_path / "curve.csv")
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _IMPORT_PATH_SCRIPT,
-            str(config_path),
-            str(tmp_path / "data.txt"),
-            str(plan_path),
-            str(tmp_path / "curve.csv"),
-        ],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", script, *map(str, paths)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr + proc.stdout
+    return proc
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    proc = run_every_subcommand(tmp_path, _IMPORT_PATH_SCRIPT)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Loads the package, runs simulate and detect, then a one-trial montecarlo
+# on one usable CPU (so in-process), in one fresh interpreter, and reports
+# the multiprocessing modules loaded after each step; importing
+# multiprocessing costs about 17 ms, about 5% of a detect process.
+_NO_POOL_SCRIPT = """
+import sys
+
+def pool_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "multiprocessing")
+
+import improperdim
+from improperdim import harness
+from improperdim.cli import main
+config, data, plan, curve = sys.argv[1:]
+loaded = {"import": pool_modules()}
+assert main(["simulate", config, "-o", data]) == 0
+assert main(["detect", data, "--detector", "glrt-rr"]) == 0
+loaded["simulate, detect"] = pool_modules()
+harness._usable_cpus = lambda: 1
+assert main(["montecarlo", plan, "-o", curve]) == 0
+loaded["montecarlo on one CPU"] = pool_modules()
+print(loaded)
+sys.exit(any(loaded.values()))
+"""
+
+
+def test_detect_and_serial_montecarlo_never_import_multiprocessing(tmp_path):
+    run_every_subcommand(tmp_path, _NO_POOL_SCRIPT)

@@ -1,6 +1,10 @@
 """Tests for detector dispatch, plans, Monte Carlo runs, and CSV output."""
 
+import ctypes
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from improperdim import (
     trial_seed,
     write_dataset,
 )
-from helpers import proper_scenario, small_scenario
+from helpers import AR_COEFFICIENTS, proper_scenario, small_scenario
 
 PLAN_TEXT = """\
 m = 8
@@ -319,6 +323,182 @@ class TestRunExperiment:
         with pytest.raises(InfeasibleOptionsError, match=r"r_max=9 must lie in 1\.\.m=8"):
             run_experiment(plan)
         assert generated == []
+
+
+AR_PLAN_TEXT = PLAN_TEXT.replace(
+    "noise_kind = white\nnoise_variance = 1\n",
+    "noise_kind = spatial_ar\nnoise_variance = 0.25\n"
+    f"ar_coefficients = {', '.join(repr(v) for v in AR_COEFFICIENTS)}\n",
+).replace("detectors = itc_rr, glrt_rr", "detectors = itc_full, itc_rr, glrt_full, glrt_rr")
+
+
+_OPENBLAS_THREAD_CALLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+def openblas_thread_calls():
+    """(get, set) thread-count functions of each OpenBLAS mapped into
+    this process."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+    calls = []
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for getter, setter in _OPENBLAS_THREAD_CALLS:
+            if hasattr(library, getter):
+                calls.append((getattr(library, getter), getattr(library, setter)))
+    return calls
+
+
+def openblas_thread_counts():
+    """Thread count of each OpenBLAS mapped into this process."""
+    return [get() for get, _ in openblas_thread_calls()]
+
+
+def set_openblas_threads(counts):
+    """Set each OpenBLAS, in the order of ``openblas_thread_counts``, to
+    the matching thread count."""
+    for (_, set_threads), count in zip(openblas_thread_calls(), counts):
+        set_threads(count)
+
+
+# Every worker process exits at its first trial, as if killed; the run must
+# raise OSError rather than wait for results that never come.
+_DYING_WORKER_SCRIPT = """
+import os
+import sys
+from improperdim import harness
+
+parent = os.getpid()
+
+def dying_generate(config):
+    assert os.getpid() != parent
+    os._exit(1)
+
+harness.generate_scenario = dying_generate
+harness._usable_cpus = lambda: 2
+try:
+    harness.run_experiment(harness.parse_plan(sys.argv[1]))
+except OSError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("no OSError")
+"""
+
+
+def use_cpus(monkeypatch, count):
+    """Make the worker count see ``count`` usable CPUs."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: count)
+
+
+class TestWorkerPool:
+    """Trials over worker processes give the in-process rows byte for byte."""
+
+    @pytest.mark.parametrize(
+        "text, box_df",
+        [
+            (PLAN_TEXT, "derived"),
+            (PLAN_TEXT, "printed"),
+            (AR_PLAN_TEXT, "derived"),
+            (AR_PLAN_TEXT.replace("trials = 4", "trials = 3\nr_max = 5"), "printed"),
+        ],
+        ids=["white-derived", "white-printed", "ar-derived", "ar-r_max-printed"],
+    )
+    def test_csv_identical_for_every_worker_count(self, monkeypatch, text, box_df):
+        plan = parse_plan(text)
+        csvs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            csvs.append(format_curve_csv(run_experiment(plan, box_df=box_df)))
+        assert csvs[0] == csvs[1] == csvs[2]
+
+    def test_fewer_trials_than_cpus(self, monkeypatch):
+        plan = parse_plan(PLAN_TEXT)
+        csvs = []
+        for cpus in (1, 32):
+            use_cpus(monkeypatch, cpus)
+            csvs.append(format_curve_csv(run_experiment(plan)))
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize(
+        "cpus, trials, in_workers", [(2, 8, True), (2, 7, False), (1, 8, False)]
+    )
+    def test_trials_run_in_worker_processes(self, monkeypatch, tmp_path, cpus, trials, in_workers):
+        real_generate = harness.generate_scenario
+
+        def recording_generate(config):
+            (tmp_path / f"{os.getpid()}-{config.seed}").touch()
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", recording_generate)
+        use_cpus(monkeypatch, cpus)
+        plan = parse_plan(
+            PLAN_TEXT.replace("trials = 4", f"trials = {trials}")
+            .replace("sample_counts = 300, 500", "sample_counts = 300")
+        )
+        run_experiment(plan)
+        pids = {int(path.name.split("-")[0]) for path in tmp_path.iterdir()}
+        assert len(list(tmp_path.iterdir())) == 2 * trials
+        if in_workers:
+            assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        else:  # one CPU, or fewer than eight trials per worker, run in-process
+            assert pids == {os.getpid()}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_workers_run_openblas_on_one_thread(self, monkeypatch, tmp_path):
+        parent_counts = openblas_thread_counts()
+        if not parent_counts:
+            pytest.skip("numpy does not use a shared OpenBLAS")
+        real_generate = harness.generate_scenario
+
+        def recording_generate(config):
+            (tmp_path / f"{config.seed}").write_text(repr(openblas_thread_counts()))
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", recording_generate)
+        use_cpus(monkeypatch, 2)
+        # forked workers inherit two threads, whatever OPENBLAS_NUM_THREADS says
+        set_openblas_threads([2] * len(parent_counts))
+        try:
+            assert openblas_thread_counts() == [2] * len(parent_counts)
+            run_experiment(parse_plan(PLAN_TEXT))
+        finally:
+            set_openblas_threads(parent_counts)
+        assert {path.read_text() for path in tmp_path.iterdir()} == {"[1]"}
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        plan = parse_plan(PLAN_TEXT)
+        failing_seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index("glrt_rr"), 500, 2)
+        real_generate = harness.generate_scenario
+
+        def failing_generate(config):
+            if config.seed == failing_seed:
+                raise InfeasibleOptionsError(f"trial with seed {config.seed} failed")
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", failing_generate)
+        raised = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(InfeasibleOptionsError) as info:
+                run_experiment(plan)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == (
+            InfeasibleOptionsError,
+            f"trial with seed {failing_seed} failed",
+        )
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DYING_WORKER_SCRIPT, PLAN_TEXT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.startswith("a worker process died: ")
 
 
 class TestCsvOutput:

@@ -249,3 +249,30 @@ class TestCircularityProfile:
             circularity_profile(data, 4)
         with pytest.raises(ValueError, match="rank zero covariance"):
             circularity_profile(np.zeros((3, 5), dtype=complex), 2)
+
+
+class TestDoubleRangeEdges:
+    """The 8x300 scenario far from unit scale, through the public stats calls."""
+
+    @pytest.fixture
+    def data(self):
+        return generate_scenario(small_scenario(snapshot_count=300, seed=13))
+
+    def test_profile_is_scale_invariant_at_the_edges(self, data):
+        reference = circularity_profile(data, 8)
+        for scale, exponent in ((1e160, 532), (1e-170, -565)):
+            scaled = np.ldexp(data.real, exponent) + 1j * np.ldexp(data.imag, exponent)
+            for mine, theirs in zip(circularity_profile(scaled, 8), reference):
+                assert mine.coefficients.tobytes() == theirs.coefficients.tobytes()
+            for mine, theirs in zip(circularity_profile(scale * data, 8), reference):
+                assert np.allclose(mine.coefficients, theirs.coefficients, rtol=0, atol=1e-12)
+
+    def test_overflowed_covariance_is_rejected_by_name(self, data):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = sample_covariances(1e160 * data)
+        assert not np.all(np.isfinite(pair.covariance))
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            circularity_coefficients(pair)
+        nan_pair = CovariancePair(np.eye(2), np.array([[np.nan, 0.0], [0.0, 0.0]]), 10)
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            circularity_coefficients(nan_pair)
