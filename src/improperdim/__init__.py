@@ -67,7 +67,6 @@ from .numerics import (
     takagi,
 )
 from .simulate import (
-    AR_BURN_IN,
     DEFAULT_PHASE_FACTOR,
     NoiseSpec,
     ScenarioConfig,
@@ -94,7 +93,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AR_BURN_IN",
     "CSV_HEADER",
     "CircularitySpectrum",
     "CovariancePair",

@@ -93,7 +93,9 @@ def load_dataset(path) -> np.ndarray:
             raise FormatError(f"snapshot line {column + 1}: non-numeric field") from None
         if not np.all(np.isfinite(values)):
             raise FormatError(f"snapshot line {column + 1}: non-finite value")
-        data[:, column] = values[0::2] + 1j * values[1::2]
+        # re/im pairs are complex128's memory layout; adding 1j * im would
+        # turn a -0.0 into +0.0
+        data[:, column] = values.view(np.complex128)
     return data
 
 

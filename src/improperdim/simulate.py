@@ -3,8 +3,11 @@
 Uniform-linear-array mixing of independent improper Gaussian sources with
 prescribed circularity coefficients, plus proper Gaussian noise that is
 either white or spatially colored by an autoregressive filter across the
-sensor axis. Everything is a pure function of the scenario config,
-including its seed.
+sensor axis. Colored noise is drawn from a symmetric root of the AR
+filter's stationary covariance, so it is exactly stationary; AR datasets
+therefore differ from those of versions that ran the filter recursion
+with a burn-in, while white ones are unchanged. Everything is a pure
+function of the scenario config, including its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 from .stats import CovariancePair
 
 __all__ = [
-    "AR_BURN_IN",
     "DEFAULT_PHASE_FACTOR",
     "NoiseSpec",
     "ScenarioConfig",
@@ -34,14 +36,10 @@ __all__ = [
 # conventions differ, so it is configurable everywhere it is used
 DEFAULT_PHASE_FACTOR = 0.5 * math.pi
 
-# AR recursion steps discarded before the first sensor; the recursion is
-# then stationary to well below sampling noise for any stable polynomial
-AR_BURN_IN = 200
-
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """One source: variance and circularity coefficient in [0, 1]."""
+    """One source: positive finite variance and circularity coefficient in [0, 1]."""
 
     variance: float
     circularity: float
@@ -49,8 +47,8 @@ class SourceSpec:
     def __post_init__(self):
         object.__setattr__(self, "variance", float(self.variance))
         object.__setattr__(self, "circularity", float(self.circularity))
-        if not self.variance > 0.0:
-            raise ValueError("source variance must be positive")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"source variance must be positive and finite, got {self.variance!r}")
         if not 0.0 <= self.circularity <= 1.0:
             raise ValueError("circularity must lie in [0, 1]")
 
@@ -60,9 +58,9 @@ class NoiseSpec:
     """Proper Gaussian noise model.
 
     ``kind`` is "white" or "spatial_ar". ``variance`` is the per-sensor
-    variance for white noise, or the innovation variance for the AR kind.
-    The AR polynomial must be stable (all characteristic roots strictly
-    inside the unit circle).
+    variance for white noise, or the innovation variance for the AR kind;
+    it and the AR coefficients must be finite. The AR polynomial must be
+    stable (all characteristic roots strictly inside the unit circle).
     """
 
     kind: str
@@ -76,8 +74,10 @@ class NoiseSpec:
         )
         if self.kind not in ("white", "spatial_ar"):
             raise ValueError("noise kind must be 'white' or 'spatial_ar'")
-        if not self.variance > 0.0:
-            raise ValueError("noise variance must be positive")
+        if not 0.0 < self.variance < math.inf:
+            raise ValueError(f"noise variance must be positive and finite, got {self.variance!r}")
+        if not all(math.isfinite(a) for a in self.ar_coefficients):
+            raise ValueError(f"AR coefficients must be finite, got {self.ar_coefficients!r}")
         if self.kind == "white":
             if self.ar_coefficients:
                 raise ValueError("white noise takes no AR coefficients")
@@ -179,46 +179,27 @@ def ar_spatial_covariance(coefficients, innovation_variance: float, size: int) -
 
 
 def generate_noise(
-    spec: NoiseSpec,
-    sensor_count: int,
-    snapshot_count: int,
-    rng: np.random.Generator,
-    exact_covariance: bool = False,
+    spec: NoiseSpec, sensor_count: int, snapshot_count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Proper Gaussian noise, one column per snapshot.
+    """Proper Gaussian noise, one column per snapshot; it draws exactly
+    2 * sensor_count * snapshot_count normals from ``rng``.
 
-    The "spatial_ar" kind runs n[p] = w[p] - sum_j a_j n[p-j] down the
-    sensor axis independently for every snapshot, discarding AR_BURN_IN
-    leading steps, so snapshots stay i.i.d. and the spatial covariance is
-    the stationary AR covariance to high accuracy. With
-    ``exact_covariance`` the stationary covariance is factored and applied
-    to white noise instead (useful for validating the recursion).
+    The "spatial_ar" kind applies the symmetric root of the stationary
+    covariance of n[p] = w[p] - sum_j a_j n[p-j] (unit innovation
+    variance, scaled by the spec's afterwards so huge variances stay
+    finite) to white noise, so snapshots are i.i.d. with exactly that
+    spatial covariance. AR draws differ from those of versions that ran
+    the recursion with a burn-in; white draws do not.
     """
     shape = (sensor_count, snapshot_count)
-    if spec.kind == "white":
-        scale = math.sqrt(0.5 * spec.variance)
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    if exact_covariance:
-        cov = ar_spatial_covariance(spec.ar_coefficients, spec.variance, sensor_count)
-        values, vectors = np.linalg.eigh(cov)
-        root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-        white = math.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return root @ white
-    coeffs = np.asarray(spec.ar_coefficients, dtype=float)
-    order = coeffs.size
-    total = AR_BURN_IN + sensor_count
     scale = math.sqrt(0.5 * spec.variance)
-    innovations = scale * (
-        rng.standard_normal((total, snapshot_count))
-        + 1j * rng.standard_normal((total, snapshot_count))
-    )
-    out = np.zeros((total, snapshot_count), dtype=np.complex128)
-    for p in range(total):
-        acc = innovations[p]
-        for j in range(1, min(order, p) + 1):
-            acc = acc - coeffs[j - 1] * out[p - j]
-        out[p] = acc
-    return out[AR_BURN_IN:]
+    white = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if spec.kind == "white":
+        return scale * white
+    unit_cov = ar_spatial_covariance(spec.ar_coefficients, 1.0, sensor_count)
+    values, vectors = np.linalg.eigh(unit_cov)
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    return scale * (root @ white)
 
 
 def generate_scenario(config: ScenarioConfig) -> np.ndarray:

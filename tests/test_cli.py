@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from improperdim import (
     DETECTOR_NAMES,
     ExperimentPlan,
+    NoiseSpec,
     format_plan,
     format_scenario_config,
     load_dataset,
@@ -17,7 +19,7 @@ from improperdim import (
 )
 from improperdim import harness
 from improperdim.cli import main
-from helpers import array_scenario, proper_scenario, small_scenario
+from helpers import AR_COEFFICIENTS, array_scenario, proper_scenario, small_scenario
 
 
 def write_config(tmp_path, config, name="scenario.cfg"):
@@ -51,6 +53,27 @@ class TestSimulate:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg"), "-o", str(tmp_path / "x.txt")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("source_variances", "inf, 5", "source variance must be positive and finite"),
+         ("noise_variance", "inf", "noise variance must be positive and finite"),
+         ("ar_coefficients", "nan", "AR coefficients must be finite"),
+         ("ar_coefficients", "0.5, inf", "AR coefficients must be finite")],
+    )
+    def test_non_finite_value_exits_2_without_a_file(self, tmp_path, capsys, key, value, message):
+        config = small_scenario(snapshot_count=20, seed=3)
+        config = dataclasses.replace(config, noise=NoiseSpec("spatial_ar", 1.0, AR_COEFFICIENTS))
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in format_scenario_config(config).splitlines()
+        ]
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.txt"
+        assert main(["simulate", str(config_path), "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDetect:
@@ -92,9 +115,11 @@ class TestDetect:
         # covariances of these data overflow unless detection rescales them
         config = small_scenario(variances=(1e308, 5.0), snapshot_count=400, seed=8)
         data_path = tmp_path / "huge.txt"
-        assert main(["simulate", str(write_config(tmp_path, config)), "-o", str(data_path)]) == 0
-        for detector in ("itc-full", "glrt-full", "itc-rr", "glrt-rr"):
-            assert main(["detect", str(data_path), "--detector", detector]) == 0
+        for noise in (NoiseSpec("white", 1.0), NoiseSpec("spatial_ar", 1e308, AR_COEFFICIENTS)):
+            config_path = write_config(tmp_path, dataclasses.replace(config, noise=noise))
+            assert main(["simulate", str(config_path), "-o", str(data_path)]) == 0
+            for detector in ("itc-full", "glrt-full", "itc-rr", "glrt-rr"):
+                assert main(["detect", str(data_path), "--detector", detector]) == 0
         assert "error" not in capsys.readouterr().err
 
     def test_box_df_flag(self, tmp_path):

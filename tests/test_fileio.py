@@ -10,6 +10,7 @@ from improperdim import (
     format_scenario_config,
     generate_scenario,
     load_dataset,
+    parse_plan,
     parse_scenario_config,
     write_dataset,
 )
@@ -27,6 +28,26 @@ noise_variance = 1      # per-sensor variance
 M = 200
 seed = 42
 """
+
+AR_CONFIG_TEXT = """\
+m = 4
+angles_deg = 40
+source_variances = 5
+source_circularities = 0.9
+noise_kind = spatial_ar
+noise_variance = 1
+ar_coefficients = 0.5, 0.25
+seed = 0
+"""
+
+# (line of AR_CONFIG_TEXT, its non-finite replacement, expected message)
+NON_FINITE_FIELDS = [
+    ("source_variances = 5", "source_variances = inf", "source variance must be positive and finite"),
+    ("noise_variance = 1", "noise_variance = inf", "noise variance must be positive and finite"),
+    ("noise_variance = 1", "noise_variance = nan", "noise variance must be positive and finite"),
+    ("ar_coefficients = 0.5, 0.25", "ar_coefficients = 0.5, nan", "AR coefficients must be finite"),
+    ("ar_coefficients = 0.5, 0.25", "ar_coefficients = -inf", "AR coefficients must be finite"),
+]
 
 
 class TestDatasetRoundTrip:
@@ -175,3 +196,17 @@ class TestScenarioConfigParsing:
     def test_non_numeric_value(self):
         with pytest.raises(FormatError, match="integer"):
             parse_scenario_config(CONFIG_TEXT.replace("M = 200", "M = many"))
+
+
+class TestNonFiniteScenarioValues:
+    @pytest.mark.parametrize("line, bad_line, message", NON_FINITE_FIELDS)
+    @pytest.mark.parametrize(
+        "parse, sweep_keys",
+        [(parse_scenario_config, "M = 10\n"),
+         (parse_plan, "trials = 1\nsample_counts = 10\ndetectors = itc_rr\n")],
+        ids=["config", "plan"],
+    )
+    def test_rejected_with_the_field_named(self, parse, sweep_keys, line, bad_line, message):
+        parse(AR_CONFIG_TEXT + sweep_keys)
+        with pytest.raises(FormatError, match=message):
+            parse(AR_CONFIG_TEXT.replace(line, bad_line) + sweep_keys)

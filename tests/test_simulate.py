@@ -141,11 +141,25 @@ class TestGenerateNoise:
     def test_exact_covariance_path_matches_model(self):
         rng = np.random.default_rng(9)
         spec = NoiseSpec("spatial_ar", 0.25, AR_COEFFICIENTS)
-        noise = generate_noise(spec, 8, 60_000, rng, exact_covariance=True)
+        noise = generate_noise(spec, 8, 60_000, rng)
         pair = sample_covariances(noise)
         model = ar_spatial_covariance(AR_COEFFICIENTS, 0.25, 8)
         assert np.abs(pair.covariance.real - model).max() <= 0.05 * model[0, 0]
         assert np.abs(pair.complementary).max() <= 0.02
+
+    @pytest.mark.parametrize(
+        "spec", [NoiseSpec("white", 1.0), NoiseSpec("spatial_ar", 0.25, AR_COEFFICIENTS)]
+    )
+    def test_draws_two_normals_per_entry(self, spec):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        generate_noise(spec, 12, 30, rng)
+        twin.standard_normal(2 * 12 * 30)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_ar_noise_is_finite_at_huge_variance(self):
+        spec = NoiseSpec("spatial_ar", 1e308, AR_COEFFICIENTS)
+        noise = generate_noise(spec, 60, 50, np.random.default_rng(12))
+        assert np.all(np.isfinite(noise.view(np.float64)))
 
     def test_noise_is_proper_at_scale(self):
         rng = np.random.default_rng(10)
