@@ -34,7 +34,8 @@ class FormatError(ValueError):
     """Malformed dataset, config, or plan file."""
 
 
-_HEADER_RE = re.compile(r"^improperdim v1 m=(\d+) M=(\d+)$")
+# counts of up to 18 digits, so int() never meets its digit limit
+_HEADER_RE = re.compile(r"^improperdim v1 m=(\d{1,18}) M=(\d{1,18})$")
 
 # keys shared between scenario configs and experiment plans
 SCENARIO_FIELD_KEYS = frozenset(
@@ -66,8 +67,11 @@ def write_dataset(path, samples) -> None:
 
 def load_dataset(path) -> np.ndarray:
     """Load a dataset file back into a channels-by-snapshots complex matrix."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError:
+        raise FormatError("dataset file is not ASCII text") from None
     if not lines:
         raise FormatError("empty dataset file")
     match = _HEADER_RE.match(lines[0].strip())
@@ -79,6 +83,10 @@ def load_dataset(path) -> np.ndarray:
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != count:
         raise FormatError(f"expected {count} snapshot lines, found {len(body)}")
+    # 2m fields take at least 4m - 1 characters, so a header asking for more
+    # than the lines can hold fails before the matrix is allocated
+    if sum(map(len, body)) < (4 * channels - 1) * count:
+        raise FormatError(f"snapshot lines are too short for {2 * channels} fields each")
     data = np.empty((channels, count), dtype=np.complex128)
     for column, line in enumerate(body):
         fields = line.split()

@@ -38,7 +38,6 @@ from .fileio import (
 )
 from .simulate import ScenarioConfig, generate_scenario
 from .stats import (
-    DEFAULT_RCOND,
     _unit_scaled,
     as_data_matrix,
     circularity_coefficients,
@@ -98,17 +97,17 @@ def _resolved_r_max(r_max: int | None, channels: int, count: int, count_name: st
     return rank_cap
 
 
-def _decide(data, detector: str, rank_cap, p_fas, rcond: float, box_df: str) -> dict:
+def _decide(data, detector: str, rank_cap, p_fas, box_df: str) -> dict:
     """One detector on a validated data matrix: {p_fa: result}. One spectrum
     or rank profile serves every p_fa; MDL maps every key to one result.
     Both scale the data by a power of two first (the profile does it
     itself), so detection works across the double range."""
     if detector.endswith("_full"):
-        spectrum = circularity_coefficients(sample_covariances(_unit_scaled(data)), rcond)
+        spectrum = circularity_coefficients(sample_covariances(_unit_scaled(data)))
         if detector == "itc_full":
             return dict.fromkeys(p_fas, mdl_itc_full(spectrum))
         return {p_fa: glrt_full(spectrum, p_fa) for p_fa in p_fas}
-    profile = circularity_profile(data, rank_cap, rcond)
+    profile = circularity_profile(data, rank_cap)
     if detector == "itc_rr":
         return dict.fromkeys(p_fas, mdl_itc_reduced(profile, rank_cap, data.shape[1]))
     return {p_fa: glrt_reduced(profile, rank_cap, p_fa, df_rule=box_df) for p_fa in p_fas}
@@ -120,7 +119,6 @@ def detect(
     *,
     p_fa: float = 0.005,
     r_max: int | None = None,
-    rcond: float = DEFAULT_RCOND,
     box_df: str = "derived",
 ):
     """Run one detector on a data matrix.
@@ -138,7 +136,7 @@ def detect(
         )
     reduced = detector.endswith("_rr")
     rank_cap = _resolved_r_max(r_max, channels, count, "snapshot count") if reduced else None
-    return _decide(data, detector, rank_cap, (p_fa,), rcond, box_df)[p_fa]
+    return _decide(data, detector, rank_cap, (p_fa,), box_df)[p_fa]
 
 
 def run_detection(
@@ -147,13 +145,10 @@ def run_detection(
     *,
     p_fa: float = 0.005,
     r_max: int | None = None,
-    rcond: float = DEFAULT_RCOND,
     box_df: str = "derived",
 ):
     """Load a dataset file and run one detector on it."""
-    return detect(
-        load_dataset(dataset_path), detector, p_fa=p_fa, r_max=r_max, rcond=rcond, box_df=box_df
-    )
+    return detect(load_dataset(dataset_path), detector, p_fa=p_fa, r_max=r_max, box_df=box_df)
 
 
 def format_detection_report(
@@ -346,7 +341,7 @@ def _run_trial(plan: ExperimentPlan, rank_caps: dict, box_df: str, task) -> tupl
     seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index(detector), count, trial)
     data = generate_scenario(replace(plan.scenario, snapshot_count=count, seed=seed))
     p_fas = _p_fas(plan, detector)
-    outcomes = _decide(data, detector, rank_caps.get(count), p_fas, DEFAULT_RCOND, box_df)
+    outcomes = _decide(data, detector, rank_caps.get(count), p_fas, box_df)
     return tuple((outcomes[p_fa].estimate, outcomes[p_fa].selected_rank) for p_fa in p_fas)
 
 
@@ -386,9 +381,9 @@ def _one_openblas_thread() -> None:
         pass
 
 
-# Each worker pays the fork and a cold first trial of every detector (up
-# to 0.2 s on 2 cores); on 60-channel plans, two workers lost to one
-# process up to 12 white-noise trials and won from 16 on.
+# Each worker pays the fork and cold first trials: 1.6x the warm time for all
+# four detectors on 2 cores (m = 60, M = 1000). At 3x (the former bisection
+# thresholds) two workers lost to one process up to 12 white-noise trials.
 _TRIALS_PER_WORKER = 8
 
 

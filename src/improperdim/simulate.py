@@ -223,12 +223,8 @@ def population_covariances(config: ScenarioConfig) -> CovariancePair:
     The returned pair's sample_count is 0 to mark population quantities.
     """
     size = config.sensor_count
-    if config.noise.kind == "white":
-        noise_cov = config.noise.variance * np.eye(size)
-    else:
-        noise_cov = ar_spatial_covariance(
-            config.noise.ar_coefficients, config.noise.variance, size
-        )
+    # white noise has no AR coefficients, and order 0 is variance * I
+    noise_cov = ar_spatial_covariance(config.noise.ar_coefficients, config.noise.variance, size)
     covariance = np.asarray(noise_cov, dtype=np.complex128)
     complementary = np.zeros((size, size), dtype=np.complex128)
     if config.sources:

@@ -105,6 +105,15 @@ class TestDetect:
         assert main(["detect", str(data_path), "--detector", "itc-rr"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_header_larger_than_the_file_exits_2(self, tmp_path, capsys):
+        # m = 10^15 exceeds any address space, so a reader that allocated from
+        # the header first would fail at once rather than really allocate
+        data_path = tmp_path / "huge_m.txt"
+        data_path.write_text("improperdim v1 m=1000000000000000 M=1\n1 2\n")
+        assert main(["detect", str(data_path), "--detector", "glrt-rr"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot lines are too short") and err.count("\n") == 1
+
     def test_infeasible_rmax_exits_3(self, tmp_path):
         config_path = write_config(tmp_path, small_scenario(snapshot_count=20, seed=6))
         data_path = tmp_path / "d.txt"

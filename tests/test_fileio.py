@@ -120,6 +120,25 @@ class TestDatasetErrors:
         with pytest.raises(FormatError, match="non-finite"):
             load_dataset(path)
 
+    def test_header_larger_than_the_lines_fails_before_allocating(self, tmp_path):
+        # m = 10^15 would be a 16 PB matrix; the lines' length is checked first
+        path = tmp_path / "huge_m.txt"
+        path.write_text("improperdim v1 m=1000000000000000 M=1\n1 2\n")
+        with pytest.raises(FormatError, match="too short for 2000000000000000 fields"):
+            load_dataset(path)
+
+    def test_non_ascii_file(self, tmp_path):
+        path = tmp_path / "utf8.txt"
+        path.write_bytes("improperdim v1 m=1 M=1\n1 2\u00e9\n".encode("utf-8"))
+        with pytest.raises(FormatError, match="not ASCII"):
+            load_dataset(path)
+
+    def test_header_count_beyond_int_digit_limit(self, tmp_path):
+        path = tmp_path / "digits.txt"
+        path.write_text(f"improperdim v1 m={'9' * 4301} M=1\n1 2\n")
+        with pytest.raises(FormatError, match="header"):
+            load_dataset(path)
+
 
 class TestKeyValueParsing:
     def test_comments_and_blanks(self):

@@ -8,6 +8,26 @@ from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from improperdim import chi2_quantile, hermitian_inv_sqrt, regularized_gamma_p, takagi
+from improperdim import numerics
+from improperdim.detectors import DF_RULES, _box_df
+
+# every d.f. the GLRT detectors can reach at r <= 60, under both d.f. rules
+REACHABLE_DFS = sorted(
+    {_box_df(r, s, rule) for rule in DF_RULES for r in range(1, 61) for s in range(r)} - {0}
+)
+DETECTOR_PS = (0.95, 0.99, 0.995, 0.999)
+
+
+def count_gamma_calls(monkeypatch):
+    """List that gets one entry per regularized_gamma_p call of chi2_quantile."""
+    calls = []
+
+    def counted(a, x):
+        calls.append(a)
+        return regularized_gamma_p(a, x)
+
+    monkeypatch.setattr(numerics, "regularized_gamma_p", counted)
+    return calls
 
 
 def random_complex_symmetric(rng, size):
@@ -77,6 +97,39 @@ class TestChi2Quantile:
         for p in (0.05, 0.5, 0.99):
             grid = [chi2_quantile(df, p) for df in (1, 2, 3, 10, 100, 1000)]
             assert all(b > a for a, b in zip(grid, grid[1:]))
+
+    @pytest.mark.parametrize("p", DETECTOR_PS)
+    def test_every_reachable_df_matches_scipy(self, p):
+        assert len(REACHABLE_DFS) == 1085
+        ours = [chi2_quantile(df, p) for df in REACHABLE_DFS]
+        np.testing.assert_allclose(ours, scipy_stats.chi2.ppf(p, REACHABLE_DFS), rtol=1e-12)
+
+    def test_lower_tail(self):
+        # chi-squared with 1 d.f. at x -> 0: P = sqrt(2x / pi), so x = pi p^2 / 2
+        assert chi2_quantile(1, 1e-20) == pytest.approx(1.5707963267948978e-40, rel=1e-12, abs=0.0)
+
+    # at p = 2e-162 the root is subnormal, where half of x rounds to 0
+    @pytest.mark.parametrize("df, p", [(1, 1e-300), (1, 2e-162), (10**6, 0.999)])
+    def test_extreme_arguments_give_finite_quantiles(self, df, p):
+        x = chi2_quantile(df, p)
+        assert math.isfinite(x) and x >= 0.0
+
+    def test_few_gamma_evaluations_per_quantile(self, monkeypatch):
+        calls = count_gamma_calls(monkeypatch)
+        for p in DETECTOR_PS:
+            for df in REACHABLE_DFS:
+                chi2_quantile(df, p)
+        assert len(calls) / (len(DETECTOR_PS) * len(REACHABLE_DFS)) <= 10.0
+
+    @pytest.mark.parametrize("df", [100, 1000, 3660])
+    @pytest.mark.parametrize("p", [1e-100, 1e-300])
+    def test_deep_lower_tail_takes_few_steps(self, monkeypatch, df, p):
+        # P grows like a power of x here; plain Newton on P - p crawled
+        # down from above (180 evaluations at df = 1000, p = 1e-100)
+        calls = count_gamma_calls(monkeypatch)
+        x = chi2_quantile(df, p)
+        assert len(calls) <= 40
+        assert x == pytest.approx(scipy_stats.chi2.ppf(p, df), rel=1e-12, abs=0.0)
 
     def test_domain_errors(self):
         for bad_p in (0.0, 1.0, -0.2, 1.5):

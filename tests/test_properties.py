@@ -1,5 +1,6 @@
 """Property tests: dataset files round-trip every finite double, and the
-config and plan parsers fail on any text with FormatError only."""
+dataset reader and the config and plan parsers fail on any input with
+FormatError only."""
 
 import numpy as np
 import pytest
@@ -94,3 +95,40 @@ def test_parsers_raise_only_format_error(parse, valid_entries, data):
         parse(text)
     except FormatError:
         pass
+
+
+counts = st.one_of(st.integers(0, 4), st.integers(0, 10**20)).map(str)
+dataset_tokens = st.one_of(
+    st.floats().map(repr),
+    st.text(max_size=6),
+    st.sampled_from(["-0.0", "5e-324", "1e400", "nan", "-inf", "1_0", "0x1p3", ""]),
+)
+
+
+@st.composite
+def dataset_texts(draw):
+    """A header with small or huge counts, then lines of number-like tokens."""
+    header = draw(
+        st.one_of(
+            st.builds("improperdim v1 m={} M={}".format, counts, counts),
+            st.text(max_size=40),
+        )
+    )
+    lines = draw(st.lists(st.lists(dataset_tokens, max_size=6).map(" ".join), max_size=4))
+    return "\n".join([header, *lines]) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw=st.one_of(st.binary(max_size=80), dataset_texts().map(str.encode)))
+@example(raw=b"improperdim v1 m=1000000000000000 M=1\n1 2\n")
+@example(raw="improperdim v1 m=1 M=1\n1 2\u00e9\n".encode("utf-8"))
+@example(raw=b"improperdim v1 m=" + b"9" * 4301 + b" M=1\n1 2\n")
+def test_load_dataset_raises_only_format_error(dataset_path, raw):
+    dataset_path.write_bytes(raw)
+    try:
+        data = load_dataset(dataset_path)
+    except FormatError:
+        return
+    header = raw.decode("ascii").splitlines()[0].split()
+    assert data.shape == (int(header[2][2:]), int(header[3][2:]))
+    assert data.dtype == np.complex128 and np.all(np.isfinite(data))
