@@ -18,138 +18,20 @@ proper noise. A scenario generator (``simulate``), Monte Carlo harness
 experiments end to end.
 """
 
-from .detectors import (
-    DF_RULES,
-    DetectionResult,
-    GlrtDiagnostics,
-    ItcDiagnostics,
-    box_statistic,
-    glrt_full,
-    glrt_reduced,
-    itc_fit_term,
-    itc_penalty,
-    mdl_itc_full,
-    mdl_itc_reduced,
-    wilks_statistic,
-)
-from .fileio import (
-    FormatError,
-    format_scenario_config,
-    load_dataset,
-    load_scenario_config,
-    parse_scenario_config,
-    write_dataset,
-)
-from .harness import (
-    CSV_HEADER,
-    CurveRow,
-    DETECTOR_NAMES,
-    ExperimentPlan,
-    InfeasibleOptionsError,
-    default_r_max,
-    detect,
-    dump_scenario,
-    format_curve_csv,
-    format_detection_report,
-    format_plan,
-    load_plan,
-    parse_plan,
-    run_detection,
-    run_experiment,
-    run_montecarlo,
-    trial_seed,
-)
-from .numerics import (
-    TakagiFactorization,
-    chi2_quantile,
-    hermitian_inv_sqrt,
-    regularized_gamma_p,
-    takagi,
-)
-from .simulate import (
-    DEFAULT_PHASE_FACTOR,
-    NoiseSpec,
-    ScenarioConfig,
-    SourceSpec,
-    ar_spatial_covariance,
-    generate_noise,
-    generate_scenario,
-    generate_sources,
-    population_covariances,
-    steering_matrix,
-)
-from .stats import (
-    DEFAULT_RCOND,
-    CircularitySpectrum,
-    CovariancePair,
-    as_data_matrix,
-    augmented_covariance,
-    circularity_coefficients,
-    circularity_profile,
-    pca_reduce,
-    sample_covariances,
-)
+from .detectors import *
+from .fileio import *
+from .harness import *
+from .numerics import *
+from .simulate import *
+from .stats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_HEADER",
-    "CircularitySpectrum",
-    "CovariancePair",
-    "CurveRow",
-    "DEFAULT_PHASE_FACTOR",
-    "DEFAULT_RCOND",
-    "DETECTOR_NAMES",
-    "DF_RULES",
-    "DetectionResult",
-    "ExperimentPlan",
-    "FormatError",
-    "GlrtDiagnostics",
-    "InfeasibleOptionsError",
-    "ItcDiagnostics",
-    "NoiseSpec",
-    "ScenarioConfig",
-    "SourceSpec",
-    "TakagiFactorization",
-    "ar_spatial_covariance",
-    "as_data_matrix",
-    "augmented_covariance",
-    "box_statistic",
-    "chi2_quantile",
-    "circularity_coefficients",
-    "circularity_profile",
-    "default_r_max",
-    "detect",
-    "dump_scenario",
-    "format_curve_csv",
-    "format_detection_report",
-    "format_plan",
-    "format_scenario_config",
-    "generate_noise",
-    "generate_scenario",
-    "generate_sources",
-    "glrt_full",
-    "glrt_reduced",
-    "hermitian_inv_sqrt",
-    "itc_fit_term",
-    "itc_penalty",
-    "load_dataset",
-    "load_plan",
-    "load_scenario_config",
-    "mdl_itc_full",
-    "mdl_itc_reduced",
-    "parse_plan",
-    "parse_scenario_config",
-    "pca_reduce",
-    "population_covariances",
-    "regularized_gamma_p",
-    "run_detection",
-    "run_experiment",
-    "run_montecarlo",
-    "sample_covariances",
-    "steering_matrix",
-    "takagi",
-    "trial_seed",
-    "wilks_statistic",
-    "write_dataset",
-]
+__all__ = sorted(
+    detectors.__all__
+    + fileio.__all__
+    + harness.__all__
+    + numerics.__all__
+    + simulate.__all__
+    + stats.__all__
+)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .detectors import DF_RULES
 from .fileio import FormatError, load_dataset
 from .harness import (
     DETECTOR_NAMES,
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     det.add_argument(
         "--box-df",
-        choices=("derived", "printed"),
+        choices=DF_RULES,
         default="derived",
         help="degree-of-freedom rule for the reduced-rank test statistic",
     )
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("plan", help="experiment plan file (key = value lines)")
     mc.add_argument("-o", "--output", required=True, help="CSV file to write")
     mc.add_argument("--seed", type=int, default=None, help="override the plan seed")
-    mc.add_argument("--box-df", choices=("derived", "printed"), default="derived")
+    mc.add_argument("--box-df", choices=DF_RULES, default="derived")
     mc.set_defaults(func=_cmd_montecarlo)
     return parser
 

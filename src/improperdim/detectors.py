@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import chi2_quantile
+from .numerics import _chi2_inverse
 from .stats import CircularitySpectrum
 
 __all__ = [
@@ -215,7 +215,7 @@ def _threshold(df: int, p_fa: float) -> float:
     # rejects there, since the statistic is nonnegative)
     if df == 0:
         return 0.0
-    return chi2_quantile(df, 1.0 - p_fa)
+    return _chi2_inverse(df, p_fa, upper=True)
 
 
 def _glrt_row(

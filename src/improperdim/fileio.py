@@ -18,14 +18,10 @@ from .stats import as_data_matrix
 
 __all__ = [
     "FormatError",
-    "SCENARIO_FIELD_KEYS",
     "format_scenario_config",
-    "format_scenario_fields",
     "load_dataset",
     "load_scenario_config",
-    "parse_key_values",
     "parse_scenario_config",
-    "scenario_fields",
     "write_dataset",
 ]
 
@@ -58,11 +54,12 @@ def write_dataset(path, samples) -> None:
     interleaved = np.empty((count, 2 * channels))
     interleaved[:, 0::2] = data.real.T
     interleaved[:, 1::2] = data.imag.T
+    # %-formatting shares format()'s float repr, so whole rows format as one
+    template = " ".join(["%.17g"] * (2 * channels)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(f"improperdim v1 m={channels} M={count}\n")
         for row in interleaved:
-            handle.write(" ".join(format(value, ".17g") for value in row))
-            handle.write("\n")
+            handle.write(template % tuple(row))
 
 
 def load_dataset(path) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Numerical primitives behind the detectors.
 
 Chi-squared quantiles (own regularized incomplete gamma and Newton
-inversion, so scipy.stats is not involved), Takagi factorization of
-complex symmetric matrices, and Hermitian pseudoinverse square roots.
+inversion, so scipy.stats is not involved; GLRT thresholds invert the
+upper tail directly), Takagi factorization of complex symmetric
+matrices, and Hermitian pseudoinverse square roots.
 General eigendecomposition and SVD come from numpy.linalg. scipy is
 loaded only by ``takagi``, for the matrix square root of a block of
 repeated singular values, so importing the package does not import it.
@@ -47,7 +48,6 @@ def regularized_gamma_p(a: float, x: float) -> float:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
     if x < a + 1.0:
         term = 1.0 / a
         total = term
@@ -58,8 +58,16 @@ def regularized_gamma_p(a: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * _REL_EPS:
                 break
-        return min(1.0, total * math.exp(log_prefactor))
-    # Lentz's algorithm for the continued fraction of Q(a, x)
+        return min(1.0, total * math.exp(-x + a * math.log(x) - math.lgamma(a)))
+    return max(0.0, 1.0 - _regularized_gamma_q(a, x))
+
+
+def _regularized_gamma_q(a: float, x: float) -> float:
+    """Q(a, x) = 1 - P(a, x); for x >= a + 1 by Lentz's algorithm for its
+    continued fraction, which keeps its relative accuracy where P rounds
+    to 1."""
+    if x < a + 1.0:
+        return 1.0 - regularized_gamma_p(a, x)
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -79,7 +87,7 @@ def regularized_gamma_p(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _REL_EPS:
             break
-    return max(0.0, 1.0 - h * math.exp(log_prefactor))
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def _chi2_pdf(df: int, x: float) -> float:
@@ -112,28 +120,39 @@ def chi2_quantile(df: int, p: float) -> float:
         raise ValueError("df must be a positive integer")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    df = int(df)
+    return _chi2_inverse(int(df), p, upper=False)
+
+
+def _chi2_inverse(df: int, prob: float, upper: bool) -> float:
+    """x with P(df/2, x/2) = ``prob``, or with Q(df/2, x/2) = ``prob`` when
+    ``upper``: the loop of ``chi2_quantile``, on log Q - log prob for an
+    upper tail. A small upper tail (a GLRT threshold at p_fa) is reached
+    to full relative accuracy, which 1 - p_fa as a lower tail is not."""
     a = 0.5 * df
     # normal quantile z_p by Abramowitz & Stegun 26.2.23 (error < 4.5e-4)
-    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    t = math.sqrt(-2.0 * math.log(min(prob, 1.0 - prob)))
     z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
         1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
     )
+    lower = 1.0 - prob if upper else prob
     h = 2.0 / (9.0 * df)
-    wilson_hilferty = df * max(1.0 - h + math.copysign(z, p - 0.5) * math.sqrt(h), 0.0) ** 3
+    wilson_hilferty = df * max(1.0 - h + math.copysign(z, lower - 0.5) * math.sqrt(h), 0.0) ** 3
     # P(a, y) <= y^a / Gamma(a + 1), so the root lies above this bound
-    x = max(wilson_hilferty, 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    x = max(wilson_hilferty, 2.0 * math.exp((math.log(lower) + math.lgamma(a + 1.0)) / a))
     lo, hi = 0.0, math.inf
     for _ in range(_MAX_ITER):
-        cdf = regularized_gamma_p(a, 0.5 * x)
-        if cdf == p:
+        tail = _regularized_gamma_q(a, 0.5 * x) if upper else regularized_gamma_p(a, 0.5 * x)
+        if tail == prob:
             break
-        if cdf < p:
+        if (tail < prob) != upper:
             lo = x
         else:
             hi = x
         density = _chi2_pdf(df, x)
-        candidate = x - math.log(cdf / p) * cdf / density if min(cdf, density) > 0.0 else math.inf
+        slope = -density if upper else density  # d tail / dx
+        candidate = math.inf
+        if min(tail, density) > 0.0:
+            candidate = x - math.log(tail / prob) * tail / slope
         tolerance = 2.0**-50 * x  # 4 machine epsilons
         # a step below the tolerance may round onto x, which is lo or hi
         if not lo < candidate < hi and abs(candidate - x) > tolerance:

@@ -140,6 +140,16 @@ class TestDetect:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("p_fa, threshold", [("1e-17", "78.2879"), ("1e-300", "1381.55")])
+    def test_tiny_pfa(self, tmp_path, capsys, p_fa, threshold):
+        config_path = write_config(tmp_path, small_scenario(snapshot_count=400, seed=7))
+        data_path = tmp_path / "d.txt"
+        main(["simulate", str(config_path), "-o", str(data_path)])
+        assert main(["detect", str(data_path), "--detector", "glrt-rr", "--pfa", p_fa]) == 0
+        # the first table row is rank 1, order 0: 2 d.f., threshold -2 ln p_fa
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("rank  d_hat  statistic  threshold") + 1].split()[3] == threshold
+
 
 class TestMontecarlo:
     def test_writes_csv(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from improperdim import (
     CircularitySpectrum,
@@ -21,6 +22,7 @@ from improperdim import (
     sample_covariances,
     wilks_statistic,
 )
+from improperdim.detectors import _threshold
 from helpers import proper_scenario, small_scenario
 
 
@@ -312,6 +314,13 @@ class TestGlrtReduced:
                 assert result.thresholds[rank - 1, s] == pytest.approx(
                     chi2_quantile(df, 0.995), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("p_fa", [1e-9, 1e-12, 1e-15, 1e-17, 1e-100, 1e-300])
+    def test_small_false_alarm_thresholds_match_scipy(self, p_fa):
+        # 1 - p_fa keeps few digits of p_fa, and rounds to 1 below 1.1e-16
+        for df in (1, 2, 12, 110, 3660):
+            expected = scipy_stats.chi2.isf(p_fa, df)
+            assert _threshold(df, p_fa) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_printed_rule_changes_thresholds(self):
         data = generate_scenario(small_scenario(snapshot_count=500, seed=19))

@@ -18,15 +18,16 @@ REACHABLE_DFS = sorted(
 DETECTOR_PS = (0.95, 0.99, 0.995, 0.999)
 
 
-def count_gamma_calls(monkeypatch):
-    """List that gets one entry per regularized_gamma_p call of chi2_quantile."""
+def count_gamma_calls(monkeypatch, name="regularized_gamma_p"):
+    """List that gets one entry per call of ``numerics.<name>``."""
     calls = []
+    original = getattr(numerics, name)
 
     def counted(a, x):
         calls.append(a)
-        return regularized_gamma_p(a, x)
+        return original(a, x)
 
-    monkeypatch.setattr(numerics, "regularized_gamma_p", counted)
+    monkeypatch.setattr(numerics, name, counted)
     return calls
 
 
@@ -119,6 +120,14 @@ class TestChi2Quantile:
         for p in DETECTOR_PS:
             for df in REACHABLE_DFS:
                 chi2_quantile(df, p)
+        assert len(calls) / (len(DETECTOR_PS) * len(REACHABLE_DFS)) <= 10.0
+
+    def test_few_gamma_evaluations_per_upper_quantile(self, monkeypatch):
+        # the GLRT thresholds' path: Q(df/2, x/2) = 1 - p
+        calls = count_gamma_calls(monkeypatch, "_regularized_gamma_q")
+        for p in DETECTOR_PS:
+            for df in REACHABLE_DFS:
+                numerics._chi2_inverse(df, 1.0 - p, upper=True)
         assert len(calls) / (len(DETECTOR_PS) * len(REACHABLE_DFS)) <= 10.0
 
     @pytest.mark.parametrize("df", [100, 1000, 3660])
