@@ -1,7 +1,7 @@
 """Command line interface: simulate, detect, montecarlo.
 
-Exit codes: 0 success, 2 malformed file or bad value, 3 infeasible
-options (e.g. r_max not smaller than the snapshot count).
+Exit codes: 0 success, 2 malformed file, bad value or not enough
+memory, 3 infeasible options (e.g. r_max not smaller than M).
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ def main(argv=None) -> int:
         return 3
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

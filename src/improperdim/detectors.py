@@ -176,7 +176,7 @@ def wilks_statistic(spectrum: CircularitySpectrum, s: int) -> tuple[float, int]:
     statistic = -float(spectrum.sample_count) * float(
         np.sum(_log_residuals(spectrum.coefficients[s:]))
     )
-    return statistic, (size - s) * (size - s + 1)
+    return statistic, _box_df(size, s, "derived")
 
 
 def _box_df(rank: int, s: int, df_rule: str) -> int:

@@ -33,17 +33,10 @@ class FormatError(ValueError):
 # counts of up to 18 digits, so int() never meets its digit limit
 _HEADER_RE = re.compile(r"^improperdim v1 m=(\d{1,18}) M=(\d{1,18})$")
 
-# keys shared between scenario configs and experiment plans
-SCENARIO_FIELD_KEYS = frozenset(
-    {
-        "m",
-        "angles_deg",
-        "source_variances",
-        "source_circularities",
-        "noise_kind",
-        "noise_variance",
-        "ar_coefficients",
-    }
+# keys shared between scenario configs and experiment plans: sources, then noise
+_SCENARIO_KEYS = frozenset(
+    {"m", "seed", "angles_deg", "source_variances", "source_circularities"}
+    | {"noise_kind", "noise_variance", "ar_coefficients"}
 )
 
 
@@ -163,12 +156,13 @@ def parse_name_list(key: str, text: str) -> tuple[str, ...]:
     return tuple(token.strip() for token in text.split(",") if token.strip())
 
 
-def scenario_fields(entries: dict[str, str]):
-    """Extract the scenario pieces shared by configs and plans.
-
-    Returns (sensor_count, angles_deg, sources, noise); raises FormatError
-    for missing keys, length mismatches, or invalid values.
-    """
+def scenario_config(entries: dict[str, str], other_keys, snapshot_count: int) -> ScenarioConfig:
+    """The ScenarioConfig of a config's or plan's entries, with ``snapshot_count``.
+    Raises FormatError for a missing or invalid value, or for a key that is
+    not a scenario key, the seed, or one of ``other_keys``."""
+    unknown = set(entries) - _SCENARIO_KEYS - set(other_keys)
+    if unknown:
+        raise FormatError(f"unknown key(s): {', '.join(sorted(unknown))}")
     sensor_count = parse_int("m", require_key(entries, "m"))
     angles = parse_float_list("angles_deg", entries.get("angles_deg", ""))
     variances = parse_float_list("source_variances", entries.get("source_variances", ""))
@@ -182,27 +176,19 @@ def scenario_fields(entries: dict[str, str]):
     kind = require_key(entries, "noise_kind")
     variance = parse_float("noise_variance", require_key(entries, "noise_variance"))
     ar_coefficients = parse_float_list("ar_coefficients", entries.get("ar_coefficients", ""))
+    seed = parse_int("seed", require_key(entries, "seed"))
     try:
         noise = NoiseSpec(kind=kind, variance=variance, ar_coefficients=ar_coefficients)
         sources = tuple(SourceSpec(v, c) for v, c in zip(variances, circularities))
+        return ScenarioConfig(sensor_count, angles, sources, noise, snapshot_count, seed)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return sensor_count, angles, sources, noise
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Parse scenario config text into a ScenarioConfig."""
     entries = parse_key_values(text)
-    unknown = set(entries) - SCENARIO_FIELD_KEYS - {"M", "seed"}
-    if unknown:
-        raise FormatError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    sensor_count, angles, sources, noise = scenario_fields(entries)
-    snapshot_count = parse_int("M", require_key(entries, "M"))
-    seed = parse_int("seed", require_key(entries, "seed"))
-    try:
-        return ScenarioConfig(sensor_count, angles, sources, noise, snapshot_count, seed)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return scenario_config(entries, {"M"}, parse_int("M", require_key(entries, "M")))
 
 
 def format_scenario_fields(config: ScenarioConfig) -> list[str]:

@@ -8,6 +8,7 @@ seeding, experiment plan files, and CSV curve emission.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -23,7 +24,6 @@ from .detectors import (
 )
 from .fileio import (
     FormatError,
-    SCENARIO_FIELD_KEYS,
     format_scenario_fields,
     load_dataset,
     load_scenario_config,
@@ -33,7 +33,7 @@ from .fileio import (
     parse_key_values,
     parse_name_list,
     require_key,
-    scenario_fields,
+    scenario_config,
     write_dataset,
 )
 from .simulate import ScenarioConfig, generate_scenario
@@ -68,7 +68,7 @@ __all__ = [
 DETECTOR_NAMES = ("itc_full", "itc_rr", "glrt_full", "glrt_rr")
 CSV_HEADER = "detector,p_fa,M,trials,p_detect,mean_selected_rank"
 
-_PLAN_ONLY_KEYS = frozenset({"M", "seed", "trials", "sample_counts", "detectors", "pfa_list", "r_max"})
+_PLAN_ONLY_KEYS = frozenset({"M", "trials", "sample_counts", "detectors", "pfa_list", "r_max"})
 
 
 class InfeasibleOptionsError(ValueError):
@@ -81,16 +81,15 @@ def default_r_max(sensor_count: int, snapshot_count: int) -> int:
     return min(snapshot_count // 3, sensor_count, snapshot_count - 1)
 
 
-def _resolved_r_max(r_max: int | None, channels: int, count: int, count_name: str) -> int:
+def _resolved_r_max(r_max: int | None, channels: int, count: int) -> int:
     """Maximum PCA rank for m x M data: ``r_max``, or the default when None.
 
-    Raises InfeasibleOptionsError unless it lies in 1..m and below M;
-    ``count_name`` names M in the message.
+    Raises InfeasibleOptionsError unless it lies in 1..m and below M.
     """
     rank_cap = default_r_max(channels, count) if r_max is None else int(r_max)
     if rank_cap >= count:
         raise InfeasibleOptionsError(
-            f"r_max={rank_cap} must be smaller than the {count_name} M={count}"
+            f"r_max={rank_cap} must be smaller than the snapshot count M={count}"
         )
     if not 1 <= rank_cap <= channels:
         raise InfeasibleOptionsError(f"r_max={rank_cap} must lie in 1..m={channels}")
@@ -135,7 +134,7 @@ def detect(
             f"unknown detector '{detector}' (expected one of {', '.join(DETECTOR_NAMES)})"
         )
     reduced = detector.endswith("_rr")
-    rank_cap = _resolved_r_max(r_max, channels, count, "snapshot count") if reduced else None
+    rank_cap = _resolved_r_max(r_max, channels, count) if reduced else None
     return _decide(data, detector, rank_cap, (p_fa,), box_df)[p_fa]
 
 
@@ -209,9 +208,9 @@ class ExperimentPlan:
 
     ``r_max`` fixes the maximum PCA rank of the reduced-rank detectors;
     None applies the floor(M/3) rule per sample count. The scenario
-    template's snapshot count and seed are normalized (they are overridden
-    per point / per trial anyway), which makes plan serialization
-    round-trip exactly.
+    template's snapshot count and seed become the first sample count and
+    the base seed, which the scenario checks (each point and trial sets
+    its own), so plan serialization round-trips exactly.
     """
 
     scenario: ScenarioConfig
@@ -246,8 +245,6 @@ class ExperimentPlan:
             raise ValueError("glrt detectors require a nonempty pfa_list")
         if self.r_max is not None and int(self.r_max) < 1:
             raise ValueError("r_max must be positive")
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(
             self,
             "scenario",
@@ -264,21 +261,16 @@ def parse_plan(text: str) -> ExperimentPlan:
     sweep).
     """
     entries = parse_key_values(text)
-    unknown = set(entries) - SCENARIO_FIELD_KEYS - _PLAN_ONLY_KEYS
-    if unknown:
-        raise FormatError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    sensor_count, angles, sources, noise = scenario_fields(entries)
+    scenario = scenario_config(entries, _PLAN_ONLY_KEYS, 1)  # ExperimentPlan sets M
     sample_counts = parse_int_list("sample_counts", require_key(entries, "sample_counts"))
     trials = parse_int("trials", require_key(entries, "trials"))
     detectors = parse_name_list("detectors", require_key(entries, "detectors"))
     p_fa_list = parse_float_list("pfa_list", entries.get("pfa_list", ""))
     r_max = parse_int("r_max", entries["r_max"]) if "r_max" in entries else None
-    seed = parse_int("seed", require_key(entries, "seed"))
-    if not sample_counts:
-        raise FormatError("sample_counts must not be empty")
     try:
-        scenario = ScenarioConfig(sensor_count, angles, sources, noise, sample_counts[0], seed)
-        return ExperimentPlan(scenario, sample_counts, trials, detectors, p_fa_list, seed, r_max)
+        return ExperimentPlan(
+            scenario, sample_counts, trials, detectors, p_fa_list, scenario.seed, r_max
+        )
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -430,7 +422,7 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
     """
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
     rank_caps = {
-        count: _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count, "sample count")
+        count: _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count)
         for count in plan.sample_counts
         if any(name.endswith("_rr") for name in plan.detectors)
     }
@@ -469,21 +461,25 @@ def format_curve_csv(rows) -> str:
 def run_montecarlo(plan_path, out_path, box_df: str = "derived", seed: int | None = None):
     """Load a plan file, run it, and write the detection curve CSV.
 
-    The CSV is written once, after all trials complete; a failure while
-    writing removes the partial file.
+    The output is opened for appending before the first trial, so a path
+    that cannot be written fails at once; the CSV is written after the
+    last. A failed run leaves an existing file as it was, and removes a
+    file it created or had begun to write.
     """
     plan = load_plan(plan_path)
     if seed is not None:
         plan = replace(plan, base_seed=seed)
-    rows = run_experiment(plan, box_df=box_df)
+    keep = os.path.exists(out_path)
+    open(out_path, "a", encoding="ascii").close()
     try:
+        rows = run_experiment(plan, box_df=box_df)
+        keep = False  # from here a failure leaves a partial file
         with open(out_path, "w", encoding="ascii", newline="\n") as handle:
             handle.write(format_curve_csv(rows))
     except BaseException:
-        try:
-            os.remove(out_path)
-        except OSError:
-            pass
+        if not keep:
+            with suppress(OSError):
+                os.remove(out_path)
         raise
     return rows
 

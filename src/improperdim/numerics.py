@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import DEFAULT_RCOND
+
 __all__ = [
     "TakagiFactorization",
     "chi2_quantile",
@@ -175,7 +177,7 @@ class TakagiFactorization:
     singular_values: np.ndarray
 
 
-def takagi(matrix: np.ndarray, symmetry_tol: float = 1e-8) -> TakagiFactorization:
+def takagi(matrix: np.ndarray) -> TakagiFactorization:
     """Factor a complex symmetric matrix as F diag(k) F^T with unitary F.
 
     Built from the SVD S = U diag(k) V^H: the coupling Z = U^T V is block
@@ -187,13 +189,12 @@ def takagi(matrix: np.ndarray, symmetry_tol: float = 1e-8) -> TakagiFactorizatio
     Parameters
     ----------
     matrix : ndarray
-        Square complex symmetric matrix (max entry of S - S^T within
-        ``symmetry_tol``).
+        Square complex symmetric matrix (max entry of S - S^T within 1e-8).
     """
     sym = np.asarray(matrix, dtype=np.complex128)
     if sym.ndim != 2 or sym.shape[0] != sym.shape[1] or sym.shape[0] == 0:
         raise ValueError("takagi expects a nonempty square matrix")
-    if np.max(np.abs(sym - sym.T)) > symmetry_tol:
+    if np.max(np.abs(sym - sym.T)) > 1e-8:
         raise ValueError("matrix is not complex symmetric")
     size = sym.shape[0]
     sym = 0.5 * (sym + sym.T)
@@ -225,7 +226,7 @@ def takagi(matrix: np.ndarray, symmetry_tol: float = 1e-8) -> TakagiFactorizatio
     return TakagiFactorization(factor, values)
 
 
-def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Hermitian (pseudo)inverse square root of a Hermitian PSD matrix.
 
     Eigenvalues at or below ``rcond`` times the largest are treated as

@@ -4,10 +4,8 @@ Uniform-linear-array mixing of independent improper Gaussian sources with
 prescribed circularity coefficients, plus proper Gaussian noise that is
 either white or spatially colored by an autoregressive filter across the
 sensor axis. Colored noise is drawn from a symmetric root of the AR
-filter's stationary covariance, so it is exactly stationary; AR datasets
-therefore differ from those of versions that ran the filter recursion
-with a burn-in, while white ones are unchanged. Everything is a pure
-function of the scenario config, including its seed.
+filter's stationary covariance, so it is exactly stationary. Everything
+is a pure function of the scenario config, including its seed.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ __all__ = [
     "steering_matrix",
 ]
 
-# phase factor multiplying cos(theta) in the steering vector; array
-# conventions differ, so it is configurable everywhere it is used
+# phase step between adjacent sensors per unit cos(theta): the one array
+# model of every steering matrix, scenario and population covariance
 DEFAULT_PHASE_FACTOR = 0.5 * math.pi
 
 
@@ -118,10 +116,8 @@ class ScenarioConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def steering_matrix(
-    angles_deg, sensor_count: int, phase_factor: float = DEFAULT_PHASE_FACTOR
-) -> np.ndarray:
-    """Steering matrix with entry (p, q) = exp(j*phase_factor*p*cos(theta_q)),
+def steering_matrix(angles_deg, sensor_count: int) -> np.ndarray:
+    """Steering matrix with entry (p, q) exp(j*DEFAULT_PHASE_FACTOR*p*cos(theta_q)),
     p = 0..sensor_count-1, angles in degrees."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if angles.size == 0:
@@ -130,7 +126,7 @@ def steering_matrix(
         raise ValueError("sensor_count must be at least 1")
     if np.any(angles < 0.0) or np.any(angles > 180.0):
         raise ValueError("arrival angles must lie in [0, 180] degrees")
-    phases = phase_factor * np.cos(np.deg2rad(angles))
+    phases = DEFAULT_PHASE_FACTOR * np.cos(np.deg2rad(angles))
     return np.exp(1j * np.outer(np.arange(sensor_count), phases))
 
 
@@ -188,8 +184,7 @@ def generate_noise(
     covariance of n[p] = w[p] - sum_j a_j n[p-j] (unit innovation
     variance, scaled by the spec's afterwards so huge variances stay
     finite) to white noise, so snapshots are i.i.d. with exactly that
-    spatial covariance. AR draws differ from those of versions that ran
-    the recursion with a burn-in; white draws do not.
+    spatial covariance.
     """
     shape = (sensor_count, snapshot_count)
     scale = math.sqrt(0.5 * spec.variance)

@@ -96,18 +96,16 @@ def augmented_covariance(pair: CovariancePair) -> np.ndarray:
     return np.block([[cov, comp], [comp.conj(), cov.conj()]])
 
 
-def _principal_spectra(pair: CovariancePair, ranks, rcond: float) -> list[CircularitySpectrum]:
+def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]:
     """Coefficients of the rank-r PCA description for each r in ``ranks``
     (None: r = m only). In the covariance's eigenbasis the rank-r
     covariance is diagonal, so each rank costs one small SVD; eigenvalues
-    at or below ``rcond`` times the largest get a zero inverse root."""
+    at or below ``DEFAULT_RCOND`` times the largest get a zero inverse root."""
     cov = np.asarray(pair.covariance, dtype=np.complex128)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(pair.complementary))):
         raise ValueError("covariance is not finite")
-    if not 0.0 < rcond < 1.0:
-        raise ValueError("rcond must lie in (0, 1)")
     if np.max(np.abs(cov - cov.conj().T)) > 1e-8:
         raise ValueError("matrix is not Hermitian")
     values, vectors = np.linalg.eigh(0.5 * (cov + cov.conj().T))
@@ -119,7 +117,7 @@ def _principal_spectra(pair: CovariancePair, ranks, rcond: float) -> list[Circul
     spectra = []
     for rank in (cov.shape[0],) if ranks is None else ranks:
         leading = values[:rank]
-        keep = leading > rcond * values[0]
+        keep = leading > DEFAULT_RCOND * values[0]
         inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, leading, 1.0)), 0.0)
         coherence = (inv_roots[:, None] * rotated[:rank, :rank]) * inv_roots[None, :]
         coeffs = np.linalg.svd(0.5 * (coherence + coherence.T), compute_uv=False)
@@ -127,18 +125,16 @@ def _principal_spectra(pair: CovariancePair, ranks, rcond: float) -> list[Circul
     return spectra
 
 
-def circularity_coefficients(
-    pair: CovariancePair, rcond: float = DEFAULT_RCOND
-) -> CircularitySpectrum:
+def circularity_coefficients(pair: CovariancePair) -> CircularitySpectrum:
     """Circularity coefficients of a covariance pair.
 
     Singular values of the coherence matrix (the complementary covariance
     whitened on both sides by the pseudoinverse square root of the
-    covariance), sorted descending and clamped to [0, 1]: the rank-m entry
-    of ``circularity_profile``'s engine. The covariance must be nonempty,
-    square, Hermitian within 1e-8 and nonzero; ``rcond`` lies in (0, 1).
+    covariance, cut at ``DEFAULT_RCOND``), sorted descending and clamped to
+    [0, 1]: the rank-m entry of ``circularity_profile``'s engine. The
+    covariance must be nonempty, square, Hermitian within 1e-8 and nonzero.
     """
-    return _principal_spectra(pair, None, rcond)[0]
+    return _principal_spectra(pair, None)[0]
 
 
 def _principal_basis(covariance: np.ndarray, rank: int) -> np.ndarray:
@@ -167,9 +163,7 @@ def pca_reduce(samples, rank: int) -> np.ndarray:
     return _principal_basis(pair.covariance, rank).conj().T @ data
 
 
-def circularity_profile(
-    samples, r_max: int, rcond: float = DEFAULT_RCOND
-) -> list[CircularitySpectrum]:
+def circularity_profile(samples, r_max: int) -> list[CircularitySpectrum]:
     """Circularity coefficients of the rank-r PCA description, r = 1..r_max.
 
     Equivalent to pca_reduce -> sample_covariances ->
@@ -183,4 +177,4 @@ def circularity_profile(
     channels, count = data.shape
     if not 1 <= r_max <= min(channels, count):
         raise ValueError("r_max must lie in 1..min(channels, snapshots)")
-    return _principal_spectra(sample_covariances(_unit_scaled(data)), range(1, r_max + 1), rcond)
+    return _principal_spectra(sample_covariances(_unit_scaled(data)), range(1, r_max + 1))

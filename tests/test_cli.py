@@ -75,6 +75,17 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_exits_2_without_a_file(self, tmp_path, capsys):
+        # 10^17 snapshots of one source take 1.6 EB, beyond any address space,
+        # so the allocation fails at once instead of really taking memory
+        config = small_scenario(circularities=(0.9,), angles=(40.0,), seed=3)
+        config_path = write_config(tmp_path, dataclasses.replace(config, snapshot_count=10**17))
+        out = tmp_path / "x.txt"
+        assert main(["simulate", str(config_path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDetect:
     def test_white_noise_itc_rr_reports_zero(self, tmp_path, capsys):
@@ -162,6 +173,17 @@ class TestMontecarlo:
         for line in lines[1:]:
             p_detect = float(line.split(",")[4])
             assert p_detect in (0.0, 1.0)
+
+    def test_out_of_memory_exits_2_without_a_csv(self, tmp_path, capsys):
+        # 1.6 EB per trial, beyond any address space (see the simulate test)
+        plan_path = write_plan(tmp_path)
+        text = plan_path.read_text().replace("sample_counts = 300", f"sample_counts = {10**17}")
+        plan_path.write_text(text.replace("detectors = itc_rr, glrt_rr", "detectors = itc_full"))
+        out_path = tmp_path / "curve.csv"
+        assert main(["montecarlo", str(plan_path), "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_malformed_plan_exits_2(self, tmp_path):
         plan_path = tmp_path / "plan.txt"

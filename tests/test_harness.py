@@ -538,6 +538,40 @@ class TestCsvOutput:
         with pytest.raises(OSError):
             run_montecarlo(plan_path, tmp_path)  # a directory is not writable
 
+    def test_unwritable_output_fails_before_the_first_trial(self, tmp_path, monkeypatch):
+        generated = []
+        real_generate = harness.generate_scenario
+
+        def counting_generate(config):
+            generated.append(config)
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", counting_generate)
+        plan_path = tmp_path / "plan.txt"
+        # four trials, fewer than a worker takes, run in this process, where
+        # the counter sees them
+        plan_path.write_text(PLAN_TEXT.replace("trials = 4", "trials = 1"))
+        out_path = tmp_path / "missing" / "curve.csv"
+        with pytest.raises(OSError):
+            run_montecarlo(plan_path, out_path)
+        assert generated == []
+        assert not out_path.parent.exists()
+
+    def test_failed_run_keeps_an_existing_file_and_removes_a_new_one(self, tmp_path, monkeypatch):
+        def failing_generate(config):
+            raise ValueError("trial failed")
+
+        monkeypatch.setattr(harness, "generate_scenario", failing_generate)
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(PLAN_TEXT.replace("trials = 4", "trials = 1"))
+        existing, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"earlier results\n")
+        for out_path in (existing, new):
+            with pytest.raises(ValueError, match="trial failed"):
+                run_montecarlo(plan_path, out_path)
+        assert existing.read_bytes() == b"earlier results\n"
+        assert not new.exists()
+
 
 class TestDumpScenario:
     def test_round_trip_and_determinism(self, tmp_path):

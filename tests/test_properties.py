@@ -1,6 +1,6 @@
-"""Property tests: dataset files round-trip every finite double, and the
-dataset reader and the config and plan parsers fail on any input with
-FormatError only."""
+"""Property tests: dataset files round-trip every finite double, configs
+and plans round-trip through their text, and the dataset reader and the
+config and plan parsers fail on any input with FormatError only."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from improperdim import FormatError, load_dataset, parse_plan, parse_scenario_config, write_dataset
+from improperdim import (
+    DETECTOR_NAMES,
+    ExperimentPlan,
+    FormatError,
+    NoiseSpec,
+    ScenarioConfig,
+    SourceSpec,
+    format_plan,
+    format_scenario_config,
+    load_dataset,
+    parse_plan,
+    parse_scenario_config,
+    write_dataset,
+)
 
 # (channels, snapshots, re/im) arrays of finite doubles, -0.0 and subnormals included
 parts_arrays = hnp.arrays(
@@ -32,6 +45,61 @@ def test_dataset_round_trip_is_bit_exact(dataset_path, parts):
     loaded = load_dataset(dataset_path)
     assert loaded.shape == data.shape
     assert loaded.tobytes() == data.tobytes()
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+seeds = st.integers(0, 2**64 - 1)
+# AR coefficients whose absolute values sum below 1 always give a stable filter
+stable_ar = st.lists(st.floats(-1.0, 1.0), max_size=4).map(
+    lambda raw: tuple(a / (1.0 + sum(map(abs, raw))) for a in raw)
+)
+noises = st.one_of(
+    st.builds(NoiseSpec, st.just("white"), positive_floats),
+    st.builds(NoiseSpec, st.just("spatial_ar"), positive_floats, stable_ar),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: 2..12 sensors and fewer sources at distinct angles."""
+    sensor_count = draw(st.integers(2, 12))
+    count = draw(st.integers(0, sensor_count - 1))
+    angles = draw(st.lists(st.floats(0.0, 180.0), min_size=count, max_size=count, unique=True))
+    source = st.builds(SourceSpec, positive_floats, st.floats(0.0, 1.0))
+    sources = draw(st.lists(source, min_size=count, max_size=count))
+    snapshot_count = draw(st.integers(1, 10**6))
+    return ScenarioConfig(sensor_count, angles, sources, draw(noises), snapshot_count, draw(seeds))
+
+
+@st.composite
+def plans(draw):
+    """Valid plans: increasing sample counts, 1-4 distinct detectors, and p_fa
+    values in (0, 1), at least one when a glrt detector is listed."""
+    counts = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True))
+    detectors = draw(st.lists(st.sampled_from(DETECTOR_NAMES), min_size=1, max_size=4, unique=True))
+    p_fa = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    glrt = any(name.startswith("glrt") for name in detectors)
+    return ExperimentPlan(
+        scenario=draw(scenarios()),
+        sample_counts=sorted(counts),
+        trials=draw(st.integers(1, 1000)),
+        detectors=detectors,
+        p_fa_list=draw(st.lists(p_fa, min_size=1 if glrt else 0, max_size=3)),
+        base_seed=draw(seeds),
+        r_max=draw(st.one_of(st.none(), st.integers(1, 100))),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(config=scenarios())
+def test_config_round_trip(config):
+    assert parse_scenario_config(format_scenario_config(config)) == config
+
+
+@settings(deadline=None, max_examples=200)
+@given(plan=plans())
+def test_plan_round_trip(plan):
+    assert parse_plan(format_plan(plan)) == plan
 
 
 CONFIG_ENTRIES = {

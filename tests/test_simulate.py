@@ -65,11 +65,6 @@ class TestSteeringMatrix:
         singular_values = np.linalg.svd(mixing, compute_uv=False)
         assert singular_values[-1] > 0.1
 
-    def test_phase_factor_is_configurable(self):
-        default = steering_matrix([40.0], 4)
-        doubled = steering_matrix([40.0], 4, phase_factor=math.pi)
-        assert np.allclose(doubled[:, 0], default[:, 0] ** 2, atol=1e-12)
-
     def test_errors(self):
         with pytest.raises(ValueError):
             steering_matrix([], 4)
