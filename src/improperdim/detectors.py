@@ -120,13 +120,31 @@ def itc_penalty(d: int, dim: int, sample_count: int) -> float:
     return 0.5 * math.log(sample_count) * float(2 * dim * d - d * d + d)
 
 
-def _score_row(spectrum: CircularitySpectrum, dim: int, sample_count: int) -> np.ndarray:
-    # criterion over d = 0..dim-1; cumulative sums give all fit terms at once
-    logs = _log_residuals(spectrum.coefficients)
-    fit = 0.5 * sample_count * np.concatenate(([0.0], np.cumsum(logs)))[:dim]
-    orders = np.arange(dim, dtype=float)
-    penalty = 0.5 * math.log(sample_count) * (2.0 * dim * orders - orders * orders + orders)
-    return fit + penalty
+def _padded_logs(spectra, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ln(1 - k^2) of each rank-r spectrum's r coefficients, one row per
+    # spectrum, zero-padded to the widest r (ln 1 = 0 exactly, so cumulative
+    # sums along a row equal the unpadded ones), and the mask of the cells
+    # at orders below r
+    valid = np.arange(ranks.max()) < ranks[:, None]
+    logs = np.zeros(valid.shape)
+    logs[valid] = _log_residuals(np.concatenate([spectrum.coefficients for spectrum in spectra]))
+    return logs, valid
+
+
+def _mdl_table(spectra, ranks: np.ndarray, sample_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Criterion at orders d < r of each (spectrum, r) row, NaN at d >= r,
+    and each row's smallest minimizer: the one kernel of both MDL detectors."""
+    logs, valid = _padded_logs(spectra, ranks)
+    orders = np.arange(logs.shape[1], dtype=float)
+    scores = (2.0 * ranks)[:, None] * orders - orders * orders + orders
+    scores *= 0.5 * math.log(sample_count)
+    # the fit term at d sums the d largest coefficients' logs
+    scores[:, 1:] += 0.5 * sample_count * np.cumsum(logs[:, :-1], axis=1)
+    invalid = ~valid
+    scores[invalid] = np.inf
+    winners = scores.argmin(axis=1)
+    scores[invalid] = np.nan
+    return scores, winners
 
 
 def mdl_itc_full(spectrum: CircularitySpectrum) -> DetectionResult:
@@ -137,9 +155,9 @@ def mdl_itc_full(spectrum: CircularitySpectrum) -> DetectionResult:
     count; below that, rank deficiency inflates the sample coefficients
     and the reduced-rank variant should be used instead.
     """
-    size = spectrum.rank_context
-    scores = _score_row(spectrum, size, spectrum.sample_count)
-    return DetectionResult(estimate=int(np.argmin(scores)), scores=scores)
+    ranks = np.array([spectrum.rank_context])
+    scores, winners = _mdl_table([spectrum], ranks, spectrum.sample_count)
+    return DetectionResult(estimate=int(winners[0]), scores=scores[0])
 
 
 def mdl_itc_reduced(
@@ -153,12 +171,7 @@ def mdl_itc_reduced(
     """
     if not 1 <= r_max <= len(profile):
         raise ValueError("r_max must lie in 1..len(profile)")
-    scores = np.full((r_max, r_max), np.nan)
-    winners = np.zeros(r_max, dtype=int)
-    for rank in range(1, r_max + 1):
-        row = _score_row(profile[rank - 1], rank, sample_count)
-        scores[rank - 1, :rank] = row
-        winners[rank - 1] = int(np.argmin(row))
+    scores, winners = _mdl_table(profile[:r_max], np.arange(1, r_max + 1), sample_count)
     estimate = int(winners.max())
     selected_rank = int(np.argmax(winners == estimate)) + 1
     return ItcDiagnostics(scores, winners, selected_rank, estimate)
@@ -218,20 +231,36 @@ def _threshold(df: int, p_fa: float) -> float:
     return _chi2_inverse(df, p_fa, upper=True)
 
 
-def _glrt_row(
-    spectrum: CircularitySpectrum, multiplier: float, df_rule: str, p_fa: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Statistics -multiplier * sum_{i>s} ln(1 - k_i^2) of a rank-r spectrum,
-    their thresholds at 1 - p_fa for s = 0..r-1, and the first accepted
-    order (r when every order is rejected)."""
+@lru_cache(maxsize=32)
+def _threshold_table(width: int, df_rule: str, p_fa: float) -> np.ndarray:
+    # read-only: row r-1 holds rank r's thresholds at orders s < r, NaN after;
+    # each distinct d.f. is inverted once
+    ranks = np.arange(1, width + 1)[:, None]
+    valid = np.arange(width) < ranks
+    dfs, cells = np.unique(_box_df(ranks, np.arange(width), df_rule)[valid], return_inverse=True)
+    table = np.full((width, width), np.nan)
+    table[valid] = np.array([_threshold(int(df), p_fa) for df in dfs])[cells]
+    table.flags.writeable = False
+    return table
+
+
+def _test_table(
+    spectra, ranks: np.ndarray, multipliers: np.ndarray, df_rule: str, p_fa: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistics -multiplier * sum_{i>s} ln(1 - k_i^2) at orders s < r of
+    each (spectrum, r) row, their thresholds at 1 - p_fa (both NaN at
+    s >= r), and each row's first accepted order (r when every order is
+    rejected): the one kernel of both tests."""
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie strictly between 0 and 1")
-    rank = spectrum.rank_context
-    logs = _log_residuals(spectrum.coefficients)
-    statistics = -float(multiplier) * np.cumsum(logs[::-1])[::-1]
-    thresholds = np.array([_threshold(_box_df(rank, s, df_rule), p_fa) for s in range(rank)])
+    logs, valid = _padded_logs(spectra, ranks)
+    # fancy indexing copies, so a caller's writes never reach the cache
+    thresholds = _threshold_table(logs.shape[1], df_rule, p_fa)[ranks - 1]
+    # the padded zeros are summed first, so every tail sum is exact
+    tails = np.cumsum(logs[:, ::-1], axis=1)[:, ::-1]
+    statistics = np.where(valid, -multipliers[:, None] * tails, np.nan)
     accepted = statistics < thresholds
-    return statistics, thresholds, int(np.argmax(accepted)) if accepted.any() else rank
+    return statistics, thresholds, np.where(accepted.any(axis=1), accepted.argmax(axis=1), ranks)
 
 
 def glrt_full(spectrum: CircularitySpectrum, p_fa: float) -> DetectionResult:
@@ -242,8 +271,16 @@ def glrt_full(spectrum: CircularitySpectrum, p_fa: float) -> DetectionResult:
     rejected the estimate saturates at m. This is the reduced-rank test's
     row at r = m, with multiplier M and the "derived" d.f. (m-s)(m-s+1).
     """
-    statistics, thresholds, estimate = _glrt_row(spectrum, spectrum.sample_count, "derived", p_fa)
-    return DetectionResult(estimate=estimate, statistics=statistics, thresholds=thresholds)
+    statistics, thresholds, stops = _test_table(
+        [spectrum],
+        np.array([spectrum.rank_context]),
+        np.array([spectrum.sample_count], dtype=float),
+        "derived",
+        p_fa,
+    )
+    return DetectionResult(
+        estimate=int(stops[0]), statistics=statistics[0], thresholds=thresholds[0]
+    )
 
 
 def glrt_reduced(
@@ -262,14 +299,12 @@ def glrt_reduced(
         raise ValueError("r_max must lie in 1..len(profile)")
     if r_max >= profile[0].sample_count:
         raise ValueError("r_max must be smaller than the sample count")
-    statistics = np.full((r_max, r_max), np.nan)
-    thresholds = np.full((r_max, r_max), np.nan)
-    stops = np.zeros(r_max, dtype=int)
-    for rank in range(1, r_max + 1):
-        spectrum = profile[rank - 1]
-        statistics[rank - 1, :rank], thresholds[rank - 1, :rank], stops[rank - 1] = _glrt_row(
-            spectrum, spectrum.sample_count - rank, df_rule, p_fa
-        )
+    ranks = np.arange(1, r_max + 1)
+    multipliers = np.array(
+        [spectrum.sample_count - rank for spectrum, rank in zip(profile, range(1, r_max + 1))],
+        dtype=float,
+    )
+    statistics, thresholds, stops = _test_table(profile[:r_max], ranks, multipliers, df_rule, p_fa)
     estimate = int(stops.max())
     selected_rank = int(np.argmax(stops == estimate)) + 1
     return GlrtDiagnostics(statistics, thresholds, float(p_fa), stops, selected_rank, estimate)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,7 +125,7 @@ def steering_matrix(angles_deg, sensor_count: int) -> np.ndarray:
         raise ValueError("at least one arrival angle is required")
     if sensor_count < 1:
         raise ValueError("sensor_count must be at least 1")
-    if np.any(angles < 0.0) or np.any(angles > 180.0):
+    if not np.all((angles >= 0.0) & (angles <= 180.0)):
         raise ValueError("arrival angles must lie in [0, 180] degrees")
     phases = DEFAULT_PHASE_FACTOR * np.cos(np.deg2rad(angles))
     return np.exp(1j * np.outer(np.arange(sensor_count), phases))
@@ -174,6 +175,16 @@ def ar_spatial_covariance(coefficients, innovation_variance: float, size: int) -
     return np.asarray(gamma[:size])[np.abs(lags[:, None] - lags[None, :])]
 
 
+@lru_cache(maxsize=8)
+def _ar_root(ar_coefficients: tuple[float, ...], sensor_count: int) -> np.ndarray:
+    # read-only symmetric root of the unit-innovation stationary covariance
+    unit_cov = ar_spatial_covariance(ar_coefficients, 1.0, sensor_count)
+    values, vectors = np.linalg.eigh(unit_cov)
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    root.flags.writeable = False
+    return root
+
+
 def generate_noise(
     spec: NoiseSpec, sensor_count: int, snapshot_count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -184,17 +195,16 @@ def generate_noise(
     covariance of n[p] = w[p] - sum_j a_j n[p-j] (unit innovation
     variance, scaled by the spec's afterwards so huge variances stay
     finite) to white noise, so snapshots are i.i.d. with exactly that
-    spatial covariance.
+    spatial covariance. The root depends only on the AR coefficients and
+    the sensor count, so each process computes it once per pair (a small
+    cache of read-only roots) rather than once per call.
     """
     shape = (sensor_count, snapshot_count)
     scale = math.sqrt(0.5 * spec.variance)
     white = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if spec.kind == "white":
         return scale * white
-    unit_cov = ar_spatial_covariance(spec.ar_coefficients, 1.0, sensor_count)
-    values, vectors = np.linalg.eigh(unit_cov)
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-    return scale * (root @ white)
+    return scale * (_ar_root(spec.ar_coefficients, sensor_count) @ white)
 
 
 def generate_scenario(config: ScenarioConfig) -> np.ndarray:

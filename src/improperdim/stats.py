@@ -99,8 +99,10 @@ def augmented_covariance(pair: CovariancePair) -> np.ndarray:
 def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]:
     """Coefficients of the rank-r PCA description for each r in ``ranks``
     (None: r = m only). In the covariance's eigenbasis the rank-r
-    covariance is diagonal, so each rank costs one small SVD; eigenvalues
-    at or below ``DEFAULT_RCOND`` times the largest get a zero inverse root."""
+    covariance is diagonal, so the rank-r coherence matrix is the leading
+    r x r block of one whitened, symmetrised m x m coherence matrix, and
+    each rank costs one small SVD of its block; eigenvalues at or below
+    ``DEFAULT_RCOND`` times the largest get a zero inverse root."""
     cov = np.asarray(pair.covariance, dtype=np.complex128)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
@@ -114,13 +116,13 @@ def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]
         raise ValueError("rank zero covariance")
     rotated = vectors.conj().T @ pair.complementary @ vectors.conj()
     rotated = 0.5 * (rotated + rotated.T)
+    keep = values > DEFAULT_RCOND * values[0]
+    inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, values, 1.0)), 0.0)
+    coherence = (inv_roots[:, None] * rotated) * inv_roots[None, :]
+    coherence = 0.5 * (coherence + coherence.T)
     spectra = []
     for rank in (cov.shape[0],) if ranks is None else ranks:
-        leading = values[:rank]
-        keep = leading > DEFAULT_RCOND * values[0]
-        inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, leading, 1.0)), 0.0)
-        coherence = (inv_roots[:, None] * rotated[:rank, :rank]) * inv_roots[None, :]
-        coeffs = np.linalg.svd(0.5 * (coherence + coherence.T), compute_uv=False)
+        coeffs = np.linalg.svd(coherence[:rank, :rank], compute_uv=False)
         spectra.append(CircularitySpectrum(np.clip(coeffs, 0.0, 1.0), rank, pair.sample_count))
     return spectra
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from improperdim import (
+    DF_RULES,
     CircularitySpectrum,
     box_statistic,
     chi2_quantile,
@@ -22,8 +25,18 @@ from improperdim import (
     sample_covariances,
     wilks_statistic,
 )
-from improperdim.detectors import _threshold
-from helpers import proper_scenario, small_scenario
+from improperdim.detectors import _threshold, _threshold_table
+from improperdim.stats import _unit_scaled
+from helpers import (
+    proper_scenario,
+    reference_glrt_full,
+    reference_glrt_reduced,
+    reference_mdl_itc_full,
+    reference_mdl_itc_reduced,
+    reference_spectra,
+    result_bytes,
+    small_scenario,
+)
 
 
 def spectrum_of(coefficients, sample_count, rank_context=None):
@@ -351,3 +364,75 @@ class TestGlrtReduced:
         assert np.array_equal(first.statistics, second.statistics, equal_nan=True)
         assert np.array_equal(first.thresholds, second.thresholds, equal_nan=True)
         assert np.array_equal(first.per_rank_stop, second.per_rank_stop)
+
+
+@st.composite
+def detector_inputs(draw):
+    """Random improper m x M data, from M below 2m (forced unit
+    coefficients) to 30m, with r_max from 1 to min(m, M - 1)."""
+    size = draw(st.integers(1, 12))
+    count = draw(st.integers(2, 30 * size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circularities = rng.uniform(0.0, 1.0, size)[:, None]
+    sources = rng.standard_normal((size, count)) + 1j * circularities * rng.standard_normal(
+        (size, count)
+    )
+    mixing = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    r_max = draw(st.integers(1, min(size, count - 1)))
+    return mixing @ sources, r_max
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    inputs=detector_inputs(),
+    df_rule=st.sampled_from(DF_RULES),
+    p_fa=st.floats(1e-12, 0.5),
+)
+def test_table_kernels_equal_the_per_rank_loops_bit_for_bit(inputs, df_rule, p_fa):
+    data, r_max = inputs
+    count = data.shape[1]
+    pair = sample_covariances(_unit_scaled(data))
+    profile = circularity_profile(data, r_max)
+    for entry, expected in zip(profile, reference_spectra(pair, range(1, r_max + 1))):
+        assert entry.rank_context == expected.rank_context
+        assert entry.coefficients.tobytes() == expected.coefficients.tobytes()
+    spectrum = circularity_coefficients(pair)
+    assert result_bytes(mdl_itc_full(spectrum)) == result_bytes(reference_mdl_itc_full(spectrum))
+    assert result_bytes(glrt_full(spectrum, p_fa)) == result_bytes(
+        reference_glrt_full(spectrum, p_fa)
+    )
+    assert result_bytes(mdl_itc_reduced(profile, r_max, count)) == result_bytes(
+        reference_mdl_itc_reduced(profile, r_max, count)
+    )
+    assert result_bytes(glrt_reduced(profile, r_max, p_fa, df_rule)) == result_bytes(
+        reference_glrt_reduced(profile, r_max, p_fa, df_rule)
+    )
+
+
+class TestCachedTables:
+    def test_writes_into_results_never_reach_a_later_call(self):
+        data = generate_scenario(small_scenario(snapshot_count=300, seed=21))
+        spectrum = circularity_coefficients(sample_covariances(data))
+        profile = circularity_profile(data, 6)
+        calls = [
+            lambda: mdl_itc_full(spectrum),
+            lambda: glrt_full(spectrum, 0.005),
+            lambda: mdl_itc_reduced(profile, 6, 300),
+            lambda: glrt_reduced(profile, 6, 0.005),
+            lambda: glrt_reduced(profile, 6, 0.005, df_rule="printed"),
+        ]
+        for call in calls:
+            first = call()
+            expected = result_bytes(first)
+            for name in ("scores", "statistics", "thresholds"):
+                table = getattr(first, name, None)
+                if table is not None:
+                    table[...] = -1.0
+            assert result_bytes(call()) == expected
+
+    def test_threshold_tables_are_read_only_and_bounded(self):
+        table = _threshold_table(5, "derived", 0.005)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        assert _threshold_table.cache_info().maxsize is not None

@@ -1,6 +1,8 @@
 """Tests for the synthetic scenario generator."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from improperdim import (
     sample_covariances,
     steering_matrix,
 )
+from improperdim.simulate import _ar_root
 from helpers import AR_COEFFICIENTS, array_scenario, proper_scenario
 
 
@@ -72,6 +75,11 @@ class TestSteeringMatrix:
             steering_matrix([200.0], 4)
         with pytest.raises(ValueError):
             steering_matrix([45.0], 0)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, angle):
+        with pytest.raises(ValueError, match="arrival angles must lie in"):
+            steering_matrix([30.0, angle], 4)
 
 
 class TestGenerateSources:
@@ -162,6 +170,38 @@ class TestGenerateNoise:
         noise = generate_noise(NoiseSpec("white", 1.0), 3, count, rng)
         complementary = sample_covariances(noise).complementary
         assert np.abs(complementary).max() <= 3.0 * math.sqrt(1.0 / count)
+
+    def test_cached_ar_root_is_read_only(self):
+        root = _ar_root(AR_COEFFICIENTS, 8)
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0, 0] = 1.0
+
+    def test_ar_datasets_match_a_fresh_process(self):
+        # configs that differ only in m, or only in the AR coefficients,
+        # must not share a cached root
+        configs = [
+            (8, AR_COEFFICIENTS),
+            (10, AR_COEFFICIENTS),
+            (8, (0.5, -0.25)),
+            (8, AR_COEFFICIENTS),
+        ]
+        script = (
+            "import ast, sys\n"
+            "from improperdim import NoiseSpec, ScenarioConfig, generate_scenario\n"
+            "m, coefficients = ast.literal_eval(sys.argv[1])\n"
+            "noise = NoiseSpec('spatial_ar', 0.25, coefficients)\n"
+            "data = generate_scenario(ScenarioConfig(m, (), (), noise, 50, 4))\n"
+            "sys.stdout.write(data.tobytes().hex())\n"
+        )
+        for m, coefficients in configs:
+            noise = NoiseSpec("spatial_ar", 0.25, coefficients)
+            data = generate_scenario(ScenarioConfig(m, (), (), noise, 50, 4))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, repr((m, coefficients))],
+                capture_output=True, text=True, check=True,
+            )
+            assert data.tobytes().hex() == proc.stdout
 
     def test_unstable_polynomial_rejected(self):
         with pytest.raises(ValueError, match="unstable AR polynomial"):
