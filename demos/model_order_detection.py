@@ -37,8 +37,7 @@ print()
 
 for detector in ("itc_full", "glrt_full"):
     result = detect(data, detector, p_fa=0.005)
-    p_fa = 0.005 if detector.startswith("glrt") else None
-    head = format_detection_report(result, detector, channels, count, p_fa=p_fa)
+    head = format_detection_report(result, detector, channels, count, p_fa=0.005)
     print("\n".join(head.splitlines()[:4]))  # header lines only; the table is long
     print()
 
@@ -46,8 +45,7 @@ print("Reduced-rank variants (full per-rank tables):")
 print()
 for detector in ("itc_rr", "glrt_rr"):
     result = detect(data, detector, p_fa=0.005)
-    p_fa = 0.005 if detector.startswith("glrt") else None
-    report = format_detection_report(result, detector, channels, count, p_fa=p_fa)
+    report = format_detection_report(result, detector, channels, count, p_fa=0.005)
     lines = report.splitlines()
     print("\n".join(lines[:5]))
     print("  ...")

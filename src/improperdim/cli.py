@@ -21,6 +21,10 @@ from .harness import (
 )
 
 _DETECTOR_CHOICES = tuple(name.replace("_", "-") for name in DETECTOR_NAMES)
+_BOX_DF_HELP = (
+    "degree-of-freedom rule for the reduced-rank test statistic; printed gives "
+    "rank 1 zero d.f., so glrt-rr then never estimates 0"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,19 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument(
         "--rmax", type=int, default=None, help="maximum PCA rank (reduced-rank detectors)"
     )
-    det.add_argument(
-        "--box-df",
-        choices=DF_RULES,
-        default="derived",
-        help="degree-of-freedom rule for the reduced-rank test statistic",
-    )
+    det.add_argument("--box-df", choices=DF_RULES, default="derived", help=_BOX_DF_HELP)
     det.set_defaults(func=_cmd_detect)
 
     mc = sub.add_parser("montecarlo", help="run an experiment plan and write a CSV curve")
     mc.add_argument("plan", help="experiment plan file (key = value lines)")
     mc.add_argument("-o", "--output", required=True, help="CSV file to write")
     mc.add_argument("--seed", type=int, default=None, help="override the plan seed")
-    mc.add_argument("--box-df", choices=DF_RULES, default="derived")
+    mc.add_argument("--box-df", choices=DF_RULES, default="derived", help=_BOX_DF_HELP)
     mc.set_defaults(func=_cmd_montecarlo)
     return parser
 
@@ -75,8 +74,7 @@ def _cmd_detect(args) -> int:
     detector = args.detector.replace("-", "_")
     data = load_dataset(args.dataset)
     result = detect(data, detector, p_fa=args.pfa, r_max=args.rmax, box_df=args.box_df)
-    p_fa = args.pfa if detector.startswith("glrt") else None
-    print(format_detection_report(result, detector, data.shape[0], data.shape[1], p_fa=p_fa))
+    print(format_detection_report(result, detector, *data.shape, p_fa=args.pfa))
     return 0
 
 
@@ -90,12 +88,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleOptionsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InfeasibleOptionsError) else 2
     except MemoryError as exc:
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2

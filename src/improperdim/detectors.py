@@ -98,14 +98,27 @@ def _log_residuals(coefficients: np.ndarray) -> np.ndarray:
     return np.log(np.maximum((1.0 - k) * (1.0 + k), LOG_FLOOR))
 
 
+# Running sums of ln(1 - k^2) along the last axis, shared by the tables and the
+# per-order functions: head sums run from the largest coefficient (entry d-1
+# covers the d largest), tail sums from the smallest (entry s covers the rest)
+def _head_sums(logs: np.ndarray) -> np.ndarray:
+    return np.cumsum(logs, axis=-1)
+
+
+def _tail_sums(logs: np.ndarray) -> np.ndarray:
+    return np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
+
+
 def itc_fit_term(spectrum: CircularitySpectrum, d: int) -> float:
-    """Model-fit part of the criterion at order d:
-    (M/2) * sum of ln(1 - k_i^2) over the d largest coefficients."""
+    """Model-fit part of the criterion at order d: (M/2) * sum of
+    ln(1 - k_i^2) over the d largest coefficients; plus ``itc_penalty`` it
+    is bit for bit the MDL detectors' score at order d."""
     if not 0 <= d <= spectrum.rank_context:
         raise ValueError("order d out of range")
     if d == 0:
         return 0.0
-    return 0.5 * spectrum.sample_count * float(np.sum(_log_residuals(spectrum.coefficients[:d])))
+    heads = _head_sums(_log_residuals(spectrum.coefficients))
+    return 0.5 * spectrum.sample_count * float(heads[d - 1])
 
 
 def itc_penalty(d: int, dim: int, sample_count: int) -> float:
@@ -138,8 +151,7 @@ def _mdl_table(spectra, ranks: np.ndarray, sample_count: int) -> tuple[np.ndarra
     orders = np.arange(logs.shape[1], dtype=float)
     scores = (2.0 * ranks)[:, None] * orders - orders * orders + orders
     scores *= 0.5 * math.log(sample_count)
-    # the fit term at d sums the d largest coefficients' logs
-    scores[:, 1:] += 0.5 * sample_count * np.cumsum(logs[:, :-1], axis=1)
+    scores[:, 1:] += 0.5 * sample_count * _head_sums(logs[:, :-1])
     invalid = ~valid
     scores[invalid] = np.inf
     winners = scores.argmin(axis=1)
@@ -182,14 +194,17 @@ def wilks_statistic(spectrum: CircularitySpectrum, s: int) -> tuple[float, int]:
 
     Returns (-M * sum of ln(1 - k_i^2) over the tail i > s, df) with
     df = (m - s)(m - s + 1); asymptotically chi-squared under the null.
+    The statistic is bit for bit ``glrt_full``'s at order s.
     """
-    size = spectrum.rank_context
-    if not 0 <= s < size:
+    return _tail_statistic(spectrum, s, spectrum.sample_count, "derived")
+
+
+def _tail_statistic(spectrum, s: int, multiplier: int, df_rule: str) -> tuple[float, int]:
+    rank = spectrum.rank_context
+    if not 0 <= s < rank:
         raise ValueError("tested order s out of range")
-    statistic = -float(spectrum.sample_count) * float(
-        np.sum(_log_residuals(spectrum.coefficients[s:]))
-    )
-    return statistic, _box_df(size, s, "derived")
+    tails = _tail_sums(_log_residuals(spectrum.coefficients))
+    return -float(multiplier) * float(tails[s]), _box_df(rank, s, df_rule)
 
 
 def _box_df(rank: int, s: int, df_rule: str) -> int:
@@ -209,37 +224,28 @@ def box_statistic(
     approximation usable at much smaller sample counts. ``df_rule``
     selects the degree-of-freedom count: "derived" gives (r-s)(r-s+1)
     (consistent with the full-sample d.f. at r = m), "printed" gives
-    (r-1)(r-s+1) for comparison.
+    (r-1)(r-s+1) for comparison. The printed rule gives 0 d.f. at r = 1,
+    where the threshold is 0 and the test always rejects. The statistic
+    is bit for bit ``glrt_reduced``'s at rank r and order s.
     """
-    rank = spectrum.rank_context
-    count = spectrum.sample_count
-    if not 0 <= s < rank:
-        raise ValueError("tested order s out of range")
-    if rank >= count:
+    if spectrum.rank_context >= spectrum.sample_count:
         raise ValueError("rank must be smaller than the sample count")
-    statistic = -float(count - rank) * float(np.sum(_log_residuals(spectrum.coefficients[s:])))
-    return statistic, _box_df(rank, s, df_rule)
-
-
-@lru_cache(maxsize=None)
-def _threshold(df: int, p_fa: float) -> float:
-    # the "printed" rule yields df = 0 at rank 1; a zero-d.f. chi-squared is
-    # a point mass at 0, so any sub-1 quantile is 0 (the test then always
-    # rejects there, since the statistic is nonnegative)
-    if df == 0:
-        return 0.0
-    return _chi2_inverse(df, p_fa, upper=True)
+    return _tail_statistic(spectrum, s, spectrum.sample_count - spectrum.rank_context, df_rule)
 
 
 @lru_cache(maxsize=32)
 def _threshold_table(width: int, df_rule: str, p_fa: float) -> np.ndarray:
     # read-only: row r-1 holds rank r's thresholds at orders s < r, NaN after;
-    # each distinct d.f. is inverted once
+    # each distinct d.f. is inverted once. The "printed" rule yields df = 0 at
+    # rank 1; a zero-d.f. chi-squared is a point mass at 0, so any sub-1
+    # quantile is 0 (the test then always rejects there, since the statistic
+    # is nonnegative)
     ranks = np.arange(1, width + 1)[:, None]
     valid = np.arange(width) < ranks
     dfs, cells = np.unique(_box_df(ranks, np.arange(width), df_rule)[valid], return_inverse=True)
     table = np.full((width, width), np.nan)
-    table[valid] = np.array([_threshold(int(df), p_fa) for df in dfs])[cells]
+    quantiles = [_chi2_inverse(int(df), p_fa, upper=True) if df else 0.0 for df in dfs]
+    table[valid] = np.array(quantiles)[cells]
     table.flags.writeable = False
     return table
 
@@ -257,8 +263,7 @@ def _test_table(
     # fancy indexing copies, so a caller's writes never reach the cache
     thresholds = _threshold_table(logs.shape[1], df_rule, p_fa)[ranks - 1]
     # the padded zeros are summed first, so every tail sum is exact
-    tails = np.cumsum(logs[:, ::-1], axis=1)[:, ::-1]
-    statistics = np.where(valid, -multipliers[:, None] * tails, np.nan)
+    statistics = np.where(valid, -multipliers[:, None] * _tail_sums(logs), np.nan)
     accepted = statistics < thresholds
     return statistics, thresholds, np.where(accepted.any(axis=1), accepted.argmax(axis=1), ranks)
 
@@ -271,16 +276,10 @@ def glrt_full(spectrum: CircularitySpectrum, p_fa: float) -> DetectionResult:
     rejected the estimate saturates at m. This is the reduced-rank test's
     row at r = m, with multiplier M and the "derived" d.f. (m-s)(m-s+1).
     """
-    statistics, thresholds, stops = _test_table(
-        [spectrum],
-        np.array([spectrum.rank_context]),
-        np.array([spectrum.sample_count], dtype=float),
-        "derived",
-        p_fa,
-    )
-    return DetectionResult(
-        estimate=int(stops[0]), statistics=statistics[0], thresholds=thresholds[0]
-    )
+    ranks = np.array([spectrum.rank_context])
+    multipliers = np.array([spectrum.sample_count], dtype=float)
+    statistics, thresholds, stops = _test_table([spectrum], ranks, multipliers, "derived", p_fa)
+    return DetectionResult(int(stops[0]), statistics=statistics[0], thresholds=thresholds[0])
 
 
 def glrt_reduced(
@@ -293,17 +292,16 @@ def glrt_reduced(
 
     Each rank stops at its smallest accepted order (or saturates at r);
     the estimate is the maximum stop over ranks 1..r_max and the selected
-    rank the smallest one attaining it.
+    rank the smallest one attaining it. Under ``df_rule="printed"`` rank 1
+    has 0 d.f. and threshold 0, so it always rejects, stops at 1, and the
+    estimate is never 0.
     """
     if not 1 <= r_max <= len(profile):
         raise ValueError("r_max must lie in 1..len(profile)")
     if r_max >= profile[0].sample_count:
         raise ValueError("r_max must be smaller than the sample count")
     ranks = np.arange(1, r_max + 1)
-    multipliers = np.array(
-        [spectrum.sample_count - rank for spectrum, rank in zip(profile, range(1, r_max + 1))],
-        dtype=float,
-    )
+    multipliers = np.array([spectrum.sample_count for spectrum in profile[:r_max]], float) - ranks
     statistics, thresholds, stops = _test_table(profile[:r_max], ranks, multipliers, df_rule, p_fa)
     estimate = int(stops.max())
     selected_rank = int(np.argmax(stops == estimate)) + 1

@@ -17,6 +17,7 @@ import numpy as np
 from .detectors import (
     GlrtDiagnostics,
     ItcDiagnostics,
+    _box_df,
     glrt_full,
     glrt_reduced,
     mdl_itc_full,
@@ -133,6 +134,7 @@ def detect(
         raise ValueError(
             f"unknown detector '{detector}' (expected one of {', '.join(DETECTOR_NAMES)})"
         )
+    _box_df(1, 0, box_df)  # an unknown d.f. rule fails for every detector
     reduced = detector.endswith("_rr")
     rank_cap = _resolved_r_max(r_max, channels, count) if reduced else None
     return _decide(data, detector, rank_cap, (p_fa,), box_df)[p_fa]
@@ -153,9 +155,10 @@ def run_detection(
 def format_detection_report(
     result, detector: str, channels: int, count: int, p_fa: float | None = None
 ) -> str:
-    """Human-readable report: estimate, selected rank, diagnostic table."""
+    """Human-readable report: estimate, selected rank, diagnostic table.
+    The header shows ``p_fa`` for the glrt detectors only."""
     head = f"detector: {detector}"
-    if p_fa is not None:
+    if p_fa is not None and detector.startswith("glrt"):
         head += f" (p_fa={p_fa:g})"
     lines = [head, f"dataset: m={channels}, M={count}"]
     if detector in ("itc_full", "glrt_full") and count < 2 * channels:
@@ -189,14 +192,9 @@ def format_detection_report(
             lines.append(f"{order:5d}  {score: .6g}{marker}")
     else:
         lines.append("order  statistic  threshold  verdict")
-        for order in range(result.statistics.size):
-            verdict = (
-                "accept" if result.statistics[order] < result.thresholds[order] else "reject"
-            )
-            lines.append(
-                f"{order:5d}  {result.statistics[order]: .6g}"
-                f"  {result.thresholds[order]: .6g}  {verdict}"
-            )
+        for order, (statistic, threshold) in enumerate(zip(result.statistics, result.thresholds)):
+            verdict = "accept" if statistic < threshold else "reject"
+            lines.append(f"{order:5d}  {statistic: .6g}  {threshold: .6g}  {verdict}")
         if result.estimate == result.statistics.size:
             lines.append("(every order rejected; estimate saturates at m)")
     return "\n".join(lines)
@@ -406,9 +404,10 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
 
     Each trial decides through the same dispatch as ``detect``, and a
     detection counts as a success only when the estimate equals the true
-    improper source count exactly. An infeasible r_max fails before the
-    first trial. Results are independent of detector ordering in the plan
-    because per-trial seeds hash the canonical detector index.
+    improper source count exactly. An infeasible r_max or an unknown
+    ``box_df`` fails before the first trial. Results are independent of
+    detector ordering in the plan because per-trial seeds hash the
+    canonical detector index.
 
     The trials run over one forked worker process per usable CPU (the
     process's CPU affinity, so ``taskset`` limits them), at most one per
@@ -420,6 +419,7 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
     raises OSError. Workers set OpenBLAS to one thread each; pin other
     BLAS builds to one thread (``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``).
     """
+    _box_df(1, 0, box_df)
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
     rank_caps = {
         count: _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count)

@@ -44,12 +44,17 @@ class CircularitySpectrum:
 
     ``rank_context`` is the dimension of the space the coefficients were
     computed in: the channel count for full-space estimates, or r after
-    reduction to PCA rank r.
+    reduction to PCA rank r; the coefficients are a 1-D array of that
+    many entries.
     """
 
     coefficients: np.ndarray
     rank_context: int
     sample_count: int
+
+    def __post_init__(self):
+        if np.shape(self.coefficients) != (self.rank_context,):
+            raise ValueError("coefficients must be a 1-D array of rank_context entries")
 
 
 def as_data_matrix(samples) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Shared scenario factories and one-rank-at-a-time reference
-implementations for the test suite."""
+"""Shared scenario factories, random-data strategies and
+one-rank-at-a-time reference implementations for the test suite."""
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from improperdim import (
     DEFAULT_RCOND,
@@ -15,7 +16,8 @@ from improperdim import (
     ScenarioConfig,
     SourceSpec,
 )
-from improperdim.detectors import _box_df, _log_residuals, _threshold
+from improperdim.detectors import _box_df, _log_residuals
+from improperdim.numerics import _chi2_inverse
 
 AR_COEFFICIENTS = (0.5, math.sqrt(7.0) / 4.0, 0.5, 0.25)
 
@@ -73,6 +75,30 @@ def proper_scenario(sensor_count=6, snapshot_count=1000, seed=0, noise_variance=
     )
 
 
+@st.composite
+def improper_data(draw, counts):
+    """Random improper m x M data, m from 1 to 12 and M drawn from
+    ``counts(m)``: m sources of random circularity, randomly mixed."""
+    size = draw(st.integers(1, 12))
+    count = draw(counts(size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circularities = rng.uniform(0.0, 1.0, size)[:, None]
+    sources = rng.standard_normal((size, count)) + 1j * circularities * rng.standard_normal(
+        (size, count)
+    )
+    mixing = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return mixing @ sources
+
+
+@st.composite
+def detector_inputs(draw):
+    """Random improper m x M data, from M below 2m (forced unit
+    coefficients) to 30m, with r_max from 1 to min(m, M - 1)."""
+    data = draw(improper_data(lambda size: st.integers(2, 30 * size)))
+    size, count = data.shape
+    return data, draw(st.integers(1, min(size, count - 1)))
+
+
 def reference_spectra(pair, ranks):
     """Rank-r coefficients built one rank at a time: each rank whitens and
     symmetrises its own leading block of the rotated complementary
@@ -108,7 +134,8 @@ def glrt_row(spectrum, multiplier, df_rule, p_fa):
     rank = spectrum.rank_context
     logs = _log_residuals(spectrum.coefficients)
     statistics = -float(multiplier) * np.cumsum(logs[::-1])[::-1]
-    thresholds = np.array([_threshold(_box_df(rank, s, df_rule), p_fa) for s in range(rank)])
+    dfs = [_box_df(rank, s, df_rule) for s in range(rank)]
+    thresholds = np.array([_chi2_inverse(df, p_fa, upper=True) if df else 0.0 for df in dfs])
     accepted = statistics < thresholds
     return statistics, thresholds, int(np.argmax(accepted)) if accepted.any() else rank
 

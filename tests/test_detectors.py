@@ -25,9 +25,12 @@ from improperdim import (
     sample_covariances,
     wilks_statistic,
 )
-from improperdim.detectors import _threshold, _threshold_table
+from improperdim import detectors, fileio, harness, numerics, simulate, stats
+from improperdim.detectors import _threshold_table
+from improperdim.numerics import _chi2_inverse
 from improperdim.stats import _unit_scaled
 from helpers import (
+    detector_inputs,
     proper_scenario,
     reference_glrt_full,
     reference_glrt_reduced,
@@ -333,7 +336,9 @@ class TestGlrtReduced:
         # 1 - p_fa keeps few digits of p_fa, and rounds to 1 below 1.1e-16
         for df in (1, 2, 12, 110, 3660):
             expected = scipy_stats.chi2.isf(p_fa, df)
-            assert _threshold(df, p_fa) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert _chi2_inverse(df, p_fa, upper=True) == pytest.approx(
+                expected, rel=1e-12, abs=0.0
+            )
 
     def test_printed_rule_changes_thresholds(self):
         data = generate_scenario(small_scenario(snapshot_count=500, seed=19))
@@ -344,6 +349,17 @@ class TestGlrtReduced:
         # at order 3 they differ (6 vs 12)
         assert printed.thresholds[4, 3] > derived.thresholds[4, 3]
         assert np.array_equal(printed.statistics[4, :5], derived.statistics[4, :5])
+
+    def test_printed_rule_always_rejects_at_rank_one(self):
+        # rank 1 has (1 - 1)(1 - 0 + 1) = 0 d.f. under the printed rule, so its
+        # threshold is 0 and even proper data stop at 1 there
+        data = generate_scenario(proper_scenario(sensor_count=8, snapshot_count=400, seed=5))
+        profile = circularity_profile(data, 8)
+        printed = glrt_reduced(profile, 8, 0.005, df_rule="printed")
+        assert printed.thresholds[0, 0] == 0.0
+        assert printed.per_rank_stop[0] == 1
+        assert printed.estimate >= 1
+        assert glrt_reduced(profile, 8, 0.005).per_rank_stop[0] == 0
 
     def test_r_max_must_be_below_sample_count(self):
         data = generate_scenario(small_scenario(snapshot_count=300, seed=2))
@@ -364,22 +380,6 @@ class TestGlrtReduced:
         assert np.array_equal(first.statistics, second.statistics, equal_nan=True)
         assert np.array_equal(first.thresholds, second.thresholds, equal_nan=True)
         assert np.array_equal(first.per_rank_stop, second.per_rank_stop)
-
-
-@st.composite
-def detector_inputs(draw):
-    """Random improper m x M data, from M below 2m (forced unit
-    coefficients) to 30m, with r_max from 1 to min(m, M - 1)."""
-    size = draw(st.integers(1, 12))
-    count = draw(st.integers(2, 30 * size))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    circularities = rng.uniform(0.0, 1.0, size)[:, None]
-    sources = rng.standard_normal((size, count)) + 1j * circularities * rng.standard_normal(
-        (size, count)
-    )
-    mixing = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    r_max = draw(st.integers(1, min(size, count - 1)))
-    return mixing @ sources, r_max
 
 
 @settings(deadline=None, max_examples=200)
@@ -404,9 +404,23 @@ def test_table_kernels_equal_the_per_rank_loops_bit_for_bit(inputs, df_rule, p_f
     assert result_bytes(mdl_itc_reduced(profile, r_max, count)) == result_bytes(
         reference_mdl_itc_reduced(profile, r_max, count)
     )
-    assert result_bytes(glrt_reduced(profile, r_max, p_fa, df_rule)) == result_bytes(
+    reduced = glrt_reduced(profile, r_max, p_fa, df_rule)
+    assert result_bytes(reduced) == result_bytes(
         reference_glrt_reduced(profile, r_max, p_fa, df_rule)
     )
+    # the per-order public functions return the very cells the detectors decide with
+    full = glrt_full(spectrum, p_fa)
+    scores = mdl_itc_full(spectrum).scores
+    for order in range(spectrum.rank_context):
+        assert wilks_statistic(spectrum, order)[0] == full.statistics[order]
+        fit = itc_fit_term(spectrum, order)
+        assert fit + itc_penalty(order, spectrum.rank_context, count) == scores[order]
+    scores = mdl_itc_reduced(profile, r_max, count).scores
+    for rank, entry in enumerate(profile[:r_max], start=1):
+        for order in range(rank):
+            assert box_statistic(entry, order, df_rule)[0] == reduced.statistics[rank - 1, order]
+            fit = itc_fit_term(entry, order)
+            assert fit + itc_penalty(order, rank, count) == scores[rank - 1, order]
 
 
 class TestCachedTables:
@@ -436,3 +450,14 @@ class TestCachedTables:
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
         assert _threshold_table.cache_info().maxsize is not None
+
+    def test_every_cache_in_the_package_is_bounded(self):
+        caches = {
+            f"{module.__name__}.{name}": value.cache_info().maxsize
+            for module in (detectors, fileio, harness, numerics, simulate, stats)
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        }
+        assert "improperdim.detectors._threshold_table" in caches
+        assert "improperdim.simulate._ar_root" in caches
+        assert {name: size for name, size in caches.items() if size is None} == {}

@@ -102,6 +102,12 @@ class TestDetectDispatch:
         printed = detect(data, "glrt_rr", box_df="printed")
         assert not np.array_equal(derived.thresholds, printed.thresholds, equal_nan=True)
 
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    def test_unknown_box_df_rejected_by_every_detector(self, detector):
+        data = generate_scenario(small_scenario(snapshot_count=100, seed=6))
+        with pytest.raises(ValueError, match="unknown df_rule 'bogus'"):
+            detect(data, detector, box_df="bogus")
+
 
 def assert_same_result(first, second):
     assert type(first) is type(second)
@@ -166,6 +172,14 @@ class TestDetectionReport:
         result = detect(data, "glrt_full", p_fa=0.01)
         report = format_detection_report(result, "glrt_full", 8, 900, p_fa=0.01)
         assert "accept" in report and "reject" in report
+
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    def test_header_shows_p_fa_for_glrt_detectors_only(self, detector):
+        data = generate_scenario(small_scenario(snapshot_count=300, seed=11))
+        result = detect(data, detector, p_fa=0.01)
+        head = format_detection_report(result, detector, 8, 300, p_fa=0.01).splitlines()[0]
+        expected = " (p_fa=0.01)" if detector.startswith("glrt") else ""
+        assert head == f"detector: {detector}{expected}"
 
 
 class TestPlanParsing:
@@ -322,6 +336,21 @@ class TestRunExperiment:
         )
         with pytest.raises(InfeasibleOptionsError, match=r"r_max=9 must lie in 1\.\.m=8"):
             run_experiment(plan)
+        assert generated == []
+
+    def test_unknown_box_df_fails_before_the_first_trial(self, monkeypatch):
+        generated = []
+        real_generate = harness.generate_scenario
+
+        def counting_generate(config):
+            generated.append(config)
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", counting_generate)
+        # trials run detector-major, so a late check would run every itc_rr trial first
+        plan = dataclasses.replace(parse_plan(PLAN_TEXT), trials=1)  # one in-process worker
+        with pytest.raises(ValueError, match="unknown df_rule 'bogus'"):
+            run_experiment(plan, box_df="bogus")
         assert generated == []
 
 

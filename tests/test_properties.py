@@ -1,27 +1,36 @@
 """Property tests: dataset files round-trip every finite double, configs
-and plans round-trip through their text, and the dataset reader and the
-config and plan parsers fail on any input with FormatError only."""
+and plans round-trip through their text, the dataset reader and the
+config and plan parsers fail on any input with FormatError only, and the
+paper's invariants hold on random improper data: coefficients in [0, 1],
+the forced ones at M < 2m, and bit-identical detection under power-of-two
+scaling."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from improperdim import (
     DETECTOR_NAMES,
+    DF_RULES,
     ExperimentPlan,
     FormatError,
     NoiseSpec,
     ScenarioConfig,
     SourceSpec,
+    circularity_coefficients,
+    circularity_profile,
+    detect,
     format_plan,
     format_scenario_config,
     load_dataset,
     parse_plan,
     parse_scenario_config,
+    sample_covariances,
     write_dataset,
 )
+from helpers import detector_inputs, improper_data, result_bytes
 
 # (channels, snapshots, re/im) arrays of finite doubles, -0.0 and subnormals included
 parts_arrays = hnp.arrays(
@@ -200,3 +209,41 @@ def test_load_dataset_raises_only_format_error(dataset_path, raw):
     header = raw.decode("ascii").splitlines()[0].split()
     assert data.shape == (int(header[2][2:]), int(header[3][2:]))
     assert data.dtype == np.complex128 and np.all(np.isfinite(data))
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=detector_inputs())
+def test_coefficients_lie_in_the_unit_interval(inputs):
+    data, r_max = inputs
+    spectra = [circularity_coefficients(sample_covariances(data))]
+    spectra += circularity_profile(data, r_max)
+    for spectrum in spectra:
+        assert np.all((spectrum.coefficients >= 0.0) & (spectrum.coefficients <= 1.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=improper_data(lambda size: st.integers(1, 2 * size - 1)))
+def test_rank_deficiency_forces_unit_coefficients(data):
+    # with M < 2m snapshots, at least 2m - M coefficients equal 1 when M >= m,
+    # and exactly M when M < m; ones to criterion 5's tolerance
+    size, count = data.shape
+    coefficients = circularity_coefficients(sample_covariances(data)).coefficients
+    assert np.count_nonzero(coefficients >= 1.0 - 1e-8) >= min(count, 2 * size - count)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    inputs=detector_inputs(),
+    exponent=st.integers(-1000, 1000),
+    df_rule=st.sampled_from(DF_RULES),
+    p_fa=st.floats(1e-12, 0.5),
+)
+def test_power_of_two_scaling_is_bit_identical(inputs, exponent, df_rule, p_fa):
+    data, r_max = inputs
+    parts = data.view(np.float64)
+    scaled = np.ldexp(parts, exponent)
+    assume(np.array_equal(np.ldexp(scaled, -exponent), parts))  # no entry rounded
+    options = dict(p_fa=p_fa, r_max=r_max, box_df=df_rule)
+    for detector in DETECTOR_NAMES:
+        expected = result_bytes(detect(data, detector, **options))
+        assert result_bytes(detect(scaled.view(np.complex128), detector, **options)) == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from improperdim import (
+    CircularitySpectrum,
     CovariancePair,
     augmented_covariance,
     circularity_coefficients,
@@ -198,6 +199,17 @@ class TestPcaReduce:
         for rank in (0, 4, 6):
             with pytest.raises(ValueError):
                 pca_reduce(data, rank)
+
+
+class TestCircularitySpectrum:
+    @pytest.mark.parametrize(
+        "coefficients, rank",
+        [([0.5, 0.2], 3), ([0.5, 0.2, 0.1], 2), ([[0.5], [0.2]], 2), (0.5, 1), ([], 1)],
+        ids=["too-few", "too-many", "2-d", "scalar", "empty"],
+    )
+    def test_rejects_coefficients_not_matching_the_rank(self, coefficients, rank):
+        with pytest.raises(ValueError, match="1-D array of rank_context entries"):
+            CircularitySpectrum(np.array(coefficients), rank, 100)
 
 
 class TestCircularityProfile:
