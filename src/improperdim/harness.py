@@ -92,6 +92,10 @@ def _resolved_r_max(r_max: int | None, channels: int, count: int) -> int:
         raise InfeasibleOptionsError(
             f"r_max={rank_cap} must be smaller than the snapshot count M={count}"
         )
+    if r_max is None and rank_cap < 1:
+        raise InfeasibleOptionsError(
+            f"the default r_max=floor(M/3) is 0 for M={count}; it needs M >= 3 snapshots"
+        )
     if not 1 <= rank_cap <= channels:
         raise InfeasibleOptionsError(f"r_max={rank_cap} must lie in 1..m={channels}")
     return rank_cap
@@ -134,7 +138,10 @@ def detect(
         raise ValueError(
             f"unknown detector '{detector}' (expected one of {', '.join(DETECTOR_NAMES)})"
         )
-    _box_df(1, 0, box_df)  # an unknown d.f. rule fails for every detector
+    # an unknown d.f. rule or a bad p_fa fails for every detector
+    _box_df(1, 0, box_df)
+    if not 0.0 < p_fa < 1.0:
+        raise ValueError("p_fa must lie strictly between 0 and 1")
     reduced = detector.endswith("_rr")
     rank_cap = _resolved_r_max(r_max, channels, count) if reduced else None
     return _decide(data, detector, rank_cap, (p_fa,), box_df)[p_fa]

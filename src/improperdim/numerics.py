@@ -1,12 +1,9 @@
 """Numerical primitives behind the detectors.
 
 Chi-squared quantiles (own regularized incomplete gamma and Newton
-inversion, so scipy.stats is not involved; GLRT thresholds invert the
-upper tail directly), Takagi factorization of complex symmetric
-matrices, and Hermitian pseudoinverse square roots.
-General eigendecomposition and SVD come from numpy.linalg. scipy is
-loaded only by ``takagi``, for the matrix square root of a block of
-repeated singular values, so importing the package does not import it.
+inversion; GLRT thresholds invert the upper tail directly) and the
+Takagi factorization of complex symmetric matrices, from one symmetric
+eigendecomposition and one QR. Everything here needs numpy only.
 """
 
 from __future__ import annotations
@@ -16,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import DEFAULT_RCOND
-
 __all__ = [
     "TakagiFactorization",
     "chi2_quantile",
-    "hermitian_inv_sqrt",
     "regularized_gamma_p",
     "takagi",
 ]
@@ -180,80 +174,41 @@ class TakagiFactorization:
 def takagi(matrix: np.ndarray) -> TakagiFactorization:
     """Factor a complex symmetric matrix as F diag(k) F^T with unitary F.
 
-    Built from the SVD S = U diag(k) V^H: the coupling Z = U^T V is block
-    diagonal across distinct singular values and unitary symmetric on each
-    block, so F = U conj(sqrt(Z)) absorbs it. Blocks of (near-)equal
-    singular values are treated as a unit because the SVD mixes their
-    subspaces.
+    With S = A + iB, the real symmetric H = [[A, B], [B, -A]] has the
+    eigenpairs (k, [x; y]) for each Takagi pair S conj(f) = k f, f = x + iy,
+    and (-k, [-y; x]) as their partners (Horn & Johnson, Matrix Analysis,
+    2nd ed., 4.4). The top m eigenvectors of H give F. ``eigh`` leaves
+    each one mixed with the partners of the others by about
+    eps / (k + k'), so one QR over the columns, in descending k and
+    rescaled to the columns' own phases, moves that error onto the
+    smaller-k column and keeps F unitary, also on blocks of repeated or
+    zero singular values.
 
     Parameters
     ----------
     matrix : ndarray
-        Square complex symmetric matrix (max entry of S - S^T within 1e-8).
+        Square, finite, complex symmetric matrix (max entry of S - S^T within 1e-8).
     """
     sym = np.asarray(matrix, dtype=np.complex128)
     if sym.ndim != 2 or sym.shape[0] != sym.shape[1] or sym.shape[0] == 0:
         raise ValueError("takagi expects a nonempty square matrix")
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("matrix is not finite")
     if np.max(np.abs(sym - sym.T)) > 1e-8:
         raise ValueError("matrix is not complex symmetric")
     size = sym.shape[0]
-    sym = 0.5 * (sym + sym.T)
-    left, values, right_h = np.linalg.svd(sym)
-    if values[0] == 0.0:
+    if not sym.any():
         return TakagiFactorization(np.eye(size, dtype=np.complex128), np.zeros(size))
-    right = right_h.conj().T
-    factor = np.empty_like(left)
-    gap_tol = 1e-8 * values[0]
-    start = 0
-    for stop in range(1, size + 1):
-        if stop < size and values[stop - 1] - values[stop] <= gap_tol:
-            continue
-        block = slice(start, stop)
-        coupling = left[:, block].T @ right[:, block]
-        if stop - start == 1:
-            root = np.sqrt(coupling)
-        else:
-            from scipy.linalg import sqrtm
-
-            root = np.asarray(sqrtm(coupling))
-        factor[:, block] = left[:, block] @ np.conj(root)
-        start = stop
+    sym = 0.5 * (sym + sym.T)
+    values, vectors = np.linalg.eigh(np.block([[sym.real, sym.imag], [sym.imag, -sym.real]]))
+    values, vectors = values[::-1][:size], vectors[:, ::-1][:, :size]
+    factor, upper = np.linalg.qr(vectors[:size] + 1j * vectors[size:])
+    diag = upper.diagonal()
+    scale = np.abs(diag)
+    factor *= np.where(scale > 0.0, diag / np.where(scale > 0.0, scale, 1.0), 1.0)
     # sign flips leave F diag(k) F^T unchanged; pin them so e.g. real
     # positive diagonal input yields F = I regardless of LAPACK signs
     lead = factor[np.argmax(np.abs(factor), axis=0), np.arange(size)]
     flip = (lead.real < 0.0) | ((lead.real == 0.0) & (lead.imag < 0.0))
     factor[:, flip] *= -1.0
-    return TakagiFactorization(factor, values)
-
-
-def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Hermitian (pseudo)inverse square root of a Hermitian PSD matrix.
-
-    Eigenvalues at or below ``rcond`` times the largest are treated as
-    zero and their inverse roots set to 0, so near-singular covariances
-    yield the inverse root of the retained eigenspace only. The Hermitian
-    choice of root keeps whitened complementary covariances complex
-    symmetric.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Square Hermitian PSD matrix (max deviation from Hermitian 1e-8).
-    rcond : float
-        Relative eigenvalue cutoff in (0, 1).
-    """
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
-    if not 0.0 < rcond < 1.0:
-        raise ValueError("rcond must lie in (0, 1)")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
-    values, vectors = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    largest = values[-1]
-    if largest <= 0.0:
-        raise ValueError("rank zero covariance")
-    keep = values > rcond * largest
-    inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, values, 1.0)), 0.0)
-    out = (vectors * inv_roots) @ vectors.conj().T
-    return 0.5 * (out + out.conj().T)
+    return TakagiFactorization(factor, np.maximum(values, 0.0))

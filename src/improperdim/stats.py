@@ -3,7 +3,8 @@
 Sample covariance and complementary covariance, augmented covariance
 assembly, circularity coefficients (canonical correlations between the
 data and its conjugate) and rank-r profiles from one principal-basis
-engine, and PCA rank reduction.
+engine, PCA rank reduction, and the Hermitian pseudoinverse square root
+that whitens a covariance.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "augmented_covariance",
     "circularity_coefficients",
     "circularity_profile",
+    "hermitian_inv_sqrt",
     "pca_reduce",
     "sample_covariances",
 ]
@@ -101,6 +103,48 @@ def augmented_covariance(pair: CovariancePair) -> np.ndarray:
     return np.block([[cov, comp], [comp.conj(), cov.conj()]])
 
 
+def _whitening(matrix, rcond: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvectors of a Hermitian PSD matrix and the inverse
+    square roots of their eigenvalues, 0 at or below ``rcond`` times the
+    largest. The matrix must be nonempty, square, finite, Hermitian within
+    1e-8 and nonzero; ``name`` names it in the finiteness error."""
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise ValueError("expected a nonempty square matrix")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} is not finite")
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
+        raise ValueError("matrix is not Hermitian")
+    values, vectors = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    if values[-1] <= 0.0:
+        raise ValueError("rank zero covariance")
+    keep = values > rcond * values[-1]
+    return vectors, np.where(keep, 1.0 / np.sqrt(np.where(keep, values, 1.0)), 0.0)
+
+
+def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+    """Hermitian (pseudo)inverse square root of a Hermitian PSD matrix.
+
+    Eigenvalues at or below ``rcond`` times the largest are treated as
+    zero and their inverse roots set to 0, so near-singular covariances
+    yield the inverse root of the retained eigenspace only. The Hermitian
+    choice of root keeps whitened complementary covariances complex
+    symmetric.
+
+    Parameters
+    ----------
+    matrix : ndarray
+        Square, finite, Hermitian PSD matrix (max deviation from Hermitian 1e-8).
+    rcond : float
+        Relative eigenvalue cutoff in (0, 1).
+    """
+    if not 0.0 < rcond < 1.0:
+        raise ValueError("rcond must lie in (0, 1)")
+    vectors, inv_roots = _whitening(matrix, rcond, "matrix")
+    out = (vectors * inv_roots) @ vectors.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
 def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]:
     """Coefficients of the rank-r PCA description for each r in ``ranks``
     (None: r = m only). In the covariance's eigenbasis the rank-r
@@ -108,25 +152,16 @@ def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]
     r x r block of one whitened, symmetrised m x m coherence matrix, and
     each rank costs one small SVD of its block; eigenvalues at or below
     ``DEFAULT_RCOND`` times the largest get a zero inverse root."""
-    cov = np.asarray(pair.covariance, dtype=np.complex128)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
-    if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(pair.complementary))):
+    if not np.all(np.isfinite(pair.complementary)):
         raise ValueError("covariance is not finite")
-    if np.max(np.abs(cov - cov.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
-    values, vectors = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-    values, vectors = values[::-1], vectors[:, ::-1]
-    if values[0] <= 0.0:
-        raise ValueError("rank zero covariance")
+    vectors, inv_roots = _whitening(pair.covariance, DEFAULT_RCOND, "covariance")
+    vectors, inv_roots = vectors[:, ::-1], inv_roots[::-1]
     rotated = vectors.conj().T @ pair.complementary @ vectors.conj()
     rotated = 0.5 * (rotated + rotated.T)
-    keep = values > DEFAULT_RCOND * values[0]
-    inv_roots = np.where(keep, 1.0 / np.sqrt(np.where(keep, values, 1.0)), 0.0)
     coherence = (inv_roots[:, None] * rotated) * inv_roots[None, :]
     coherence = 0.5 * (coherence + coherence.T)
     spectra = []
-    for rank in (cov.shape[0],) if ranks is None else ranks:
+    for rank in (inv_roots.size,) if ranks is None else ranks:
         coeffs = np.linalg.svd(coherence[:rank, :rank], compute_uv=False)
         spectra.append(CircularitySpectrum(np.clip(coeffs, 0.0, 1.0), rank, pair.sample_count))
     return spectra

@@ -16,6 +16,7 @@ from improperdim import (
     load_dataset,
     parse_plan,
     trial_seed,
+    write_dataset,
 )
 from improperdim import harness
 from improperdim.cli import main
@@ -150,6 +151,25 @@ class TestDetect:
             ["detect", str(data_path), "--detector", "glrt-rr", "--box-df", "printed"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("p_fa", ["7", "nan", "0", "1", "-1"])
+    @pytest.mark.parametrize("detector", [name.replace("_", "-") for name in DETECTOR_NAMES])
+    def test_bad_pfa_exits_2_for_every_detector(self, tmp_path, capsys, detector, p_fa):
+        config_path = write_config(tmp_path, small_scenario(snapshot_count=40, seed=7))
+        data_path = tmp_path / "d.txt"
+        main(["simulate", str(config_path), "-o", str(data_path)])
+        capsys.readouterr()
+        assert main(["detect", str(data_path), "--detector", detector, "--pfa", p_fa]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: p_fa must lie strictly between 0 and 1\n"
+
+    def test_default_rmax_of_zero_names_its_rule(self, tmp_path, capsys):
+        data_path = tmp_path / "two.txt"
+        write_dataset(data_path, np.array([[1.0 + 2.0j, 0.5j], [-1.0, 2.0 - 1.0j]]))
+        assert main(["detect", str(data_path), "--detector", "itc-rr"]) == 3
+        assert capsys.readouterr().err == (
+            "error: the default r_max=floor(M/3) is 0 for M=2; it needs M >= 3 snapshots\n"
+        )
 
     @pytest.mark.parametrize("p_fa, threshold", [("1e-17", "78.2879"), ("1e-300", "1381.55")])
     def test_tiny_pfa(self, tmp_path, capsys, p_fa, threshold):
@@ -325,6 +345,36 @@ def run_every_subcommand(tmp_path, script):
 def test_cli_never_imports_scipy(tmp_path):
     proc = run_every_subcommand(tmp_path, _IMPORT_PATH_SCRIPT)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Blocks every scipy import, then factors two TestTakagi matrices (a
+# repeated singular value, and one beside a zero block) and runs every
+# subcommand: the package needs numpy only.
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from improperdim import takagi
+from improperdim.cli import main
+for seed, values in ((11, [0.7, 0.7, 0.7, 0.2, 0.2]), (12, [0.5, 0.5, 0.0, 0.0])):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((len(values),) * 2) + 1j * rng.standard_normal((len(values),) * 2)
+    q, r = np.linalg.qr(raw)
+    base = q * (np.diag(r) / np.abs(np.diag(r)))
+    sym = base @ np.diag(values) @ base.T
+    out = takagi(sym)
+    factor = out.factor_unitary
+    assert np.linalg.norm(factor @ np.diag(out.singular_values) @ factor.T - sym) <= 1e-9
+    assert np.abs(factor @ factor.conj().T - np.eye(len(values))).max() <= 1e-10
+config, data, plan, curve = sys.argv[1:]
+assert main(["simulate", config, "-o", data]) == 0
+assert main(["detect", data, "--detector", "glrt-rr"]) == 0
+assert main(["montecarlo", plan, "-o", curve]) == 0
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    run_every_subcommand(tmp_path, _NO_SCIPY_SCRIPT)
 
 
 # Loads the package, runs simulate and detect, then a one-trial montecarlo

@@ -201,6 +201,22 @@ class TestTakagi:
         assert np.linalg.norm(rebuilt - sym) <= 1e-9
         assert np.abs(out.factor_unitary @ out.factor_unitary.conj().T - np.eye(4)).max() <= 1e-10
 
+    @pytest.mark.parametrize("level", [1e-2, 1e-6, 2e-8, 1e-8, 1e-10, 1e-13, 0.0])
+    def test_unitary_across_cluster_levels(self, level):
+        # a 3-fold cluster of singular values at each level, 2e-8 just above
+        # the 1e-8 relative gap that once split blocks
+        rng = np.random.default_rng(13)
+        base = random_unitary(rng, 6)
+        values = np.array([1.0, 0.6, 0.3, level, level, level])
+        sym = base @ np.diag(values) @ base.T
+        out = takagi(sym)
+        factor = out.factor_unitary
+        rebuilt = factor @ np.diag(out.singular_values) @ factor.T
+        assert np.abs(factor @ factor.conj().T - np.eye(6)).max() <= 1e-12
+        assert np.linalg.norm(rebuilt - sym) / np.linalg.norm(sym) <= 1e-12
+        reference = np.linalg.svd(sym, compute_uv=False)
+        assert np.abs(out.singular_values - reference).max() <= 1e-12
+
     def test_rejects_non_symmetric(self):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -261,3 +277,10 @@ class TestHermitianInvSqrt:
         for rcond in (0.0, 1.0, -1e-3):
             with pytest.raises(ValueError, match="rcond"):
                 hermitian_inv_sqrt(np.eye(2), rcond=rcond)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("function", [hermitian_inv_sqrt, takagi], ids=lambda f: f.__name__)
+def test_non_finite_matrix_is_refused(function, value):
+    with pytest.raises(ValueError, match="^matrix is not finite$"):
+        function(np.array([[value, 0.0], [0.0, 1.0]]))
