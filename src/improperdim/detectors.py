@@ -207,12 +207,14 @@ def _tail_statistic(spectrum, s: int, multiplier: int, df_rule: str) -> tuple[fl
     return -float(multiplier) * float(tails[s]), _box_df(rank, s, df_rule)
 
 
+def _check_df_rule(df_rule: str) -> None:
+    if df_rule not in DF_RULES:
+        raise ValueError(f"unknown df_rule {df_rule!r}; expected one of {DF_RULES}")
+
+
 def _box_df(rank: int, s: int, df_rule: str) -> int:
-    if df_rule == "derived":
-        return (rank - s) * (rank - s + 1)
-    if df_rule == "printed":
-        return (rank - 1) * (rank - s + 1)
-    raise ValueError(f"unknown df_rule {df_rule!r}; expected one of {DF_RULES}")
+    _check_df_rule(df_rule)
+    return (rank - s if df_rule == "derived" else rank - 1) * (rank - s + 1)
 
 
 def box_statistic(

@@ -17,7 +17,7 @@ import numpy as np
 from .detectors import (
     GlrtDiagnostics,
     ItcDiagnostics,
-    _box_df,
+    _check_df_rule,
     glrt_full,
     glrt_reduced,
     mdl_itc_full,
@@ -38,13 +38,7 @@ from .fileio import (
     write_dataset,
 )
 from .simulate import ScenarioConfig, generate_scenario
-from .stats import (
-    _unit_scaled,
-    as_data_matrix,
-    circularity_coefficients,
-    circularity_profile,
-    sample_covariances,
-)
+from .stats import _principal_spectra, _unit_scaled, as_data_matrix, sample_covariances
 
 __all__ = [
     "CSV_HEADER",
@@ -101,20 +95,35 @@ def _resolved_r_max(r_max: int | None, channels: int, count: int) -> int:
     return rank_cap
 
 
+def _check_options(detectors, p_fas, box_df: str = "derived") -> None:
+    """Refuse an unknown detector, an unknown d.f. rule or a p_fa outside
+    (0, 1): the one option check of ``detect``, ``ExperimentPlan`` and
+    ``run_experiment``, each before its first trial."""
+    for name in detectors:
+        if name not in DETECTOR_NAMES:
+            raise ValueError(
+                f"unknown detector '{name}' (expected one of {', '.join(DETECTOR_NAMES)})"
+            )
+    _check_df_rule(box_df)
+    if not all(0.0 < p_fa < 1.0 for p_fa in p_fas):
+        raise ValueError("p_fa must lie strictly between 0 and 1")
+
+
 def _decide(data, detector: str, rank_cap, p_fas, box_df: str) -> dict:
-    """One detector on a validated data matrix: {p_fa: result}. One spectrum
-    or rank profile serves every p_fa; MDL maps every key to one result.
-    Both scale the data by a power of two first (the profile does it
-    itself), so detection works across the double range."""
-    if detector.endswith("_full"):
-        spectrum = circularity_coefficients(sample_covariances(_unit_scaled(data)))
-        if detector == "itc_full":
-            return dict.fromkeys(p_fas, mdl_itc_full(spectrum))
-        return {p_fa: glrt_full(spectrum, p_fa) for p_fa in p_fas}
-    profile = circularity_profile(data, rank_cap)
+    """One detector on a data matrix: {p_fa: result}. One covariance pair of
+    the data, scaled by a power of two so detection works across the double
+    range, gives one spectrum or rank profile for every p_fa; MDL maps
+    every key to one result."""
+    pair = sample_covariances(_unit_scaled(data))
+    full = detector.endswith("_full")
+    spectra = _principal_spectra(pair, None if full else range(1, rank_cap + 1))
+    if detector == "itc_full":
+        return dict.fromkeys(p_fas, mdl_itc_full(spectra[0]))
+    if detector == "glrt_full":
+        return {p_fa: glrt_full(spectra[0], p_fa) for p_fa in p_fas}
     if detector == "itc_rr":
-        return dict.fromkeys(p_fas, mdl_itc_reduced(profile, rank_cap, data.shape[1]))
-    return {p_fa: glrt_reduced(profile, rank_cap, p_fa, df_rule=box_df) for p_fa in p_fas}
+        return dict.fromkeys(p_fas, mdl_itc_reduced(spectra, rank_cap, pair.sample_count))
+    return {p_fa: glrt_reduced(spectra, rank_cap, p_fa, df_rule=box_df) for p_fa in p_fas}
 
 
 def detect(
@@ -133,17 +142,8 @@ def detect(
     bit-identical under power-of-two scaling across the double range.
     """
     data = as_data_matrix(samples)
-    channels, count = data.shape
-    if detector not in DETECTOR_NAMES:
-        raise ValueError(
-            f"unknown detector '{detector}' (expected one of {', '.join(DETECTOR_NAMES)})"
-        )
-    # an unknown d.f. rule or a bad p_fa fails for every detector
-    _box_df(1, 0, box_df)
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError("p_fa must lie strictly between 0 and 1")
-    reduced = detector.endswith("_rr")
-    rank_cap = _resolved_r_max(r_max, channels, count) if reduced else None
+    _check_options((detector,), (p_fa,), box_df)  # every option, for every detector
+    rank_cap = _resolved_r_max(r_max, *data.shape) if detector.endswith("_rr") else None
     return _decide(data, detector, rank_cap, (p_fa,), box_df)[p_fa]
 
 
@@ -238,14 +238,9 @@ class ExperimentPlan:
             raise ValueError("trials must be at least 1")
         if not self.detectors:
             raise ValueError("at least one detector is required")
-        for name in self.detectors:
-            if name not in DETECTOR_NAMES:
-                raise ValueError(f"unknown detector '{name}'")
+        _check_options(self.detectors, self.p_fa_list)
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("duplicate detector")
-        for value in self.p_fa_list:
-            if not 0.0 < value < 1.0:
-                raise ValueError("p_fa values must lie strictly between 0 and 1")
         if any(name.startswith("glrt") for name in self.detectors) and not self.p_fa_list:
             raise ValueError("glrt detectors require a nonempty pfa_list")
         if self.r_max is not None and int(self.r_max) < 1:
@@ -426,7 +421,7 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
     raises OSError. Workers set OpenBLAS to one thread each; pin other
     BLAS builds to one thread (``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``).
     """
-    _box_df(1, 0, box_df)
+    _check_options(plan.detectors, plan.p_fa_list, box_df)
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
     rank_caps = {
         count: _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count)

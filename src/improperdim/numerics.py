@@ -159,6 +159,15 @@ def _chi2_inverse(df: int, prob: float, upper: bool) -> float:
     return x
 
 
+def _symmetric_part(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """(A + A^T) / 2, or (A + A^H) / 2 when ``hermitian``: a computed
+    covariance's structure, which holds only to rounding, made exact. Each
+    term is halved before the sum, so every finite matrix stays finite;
+    away from subnormals the bits are those of halving the sum."""
+    other = matrix.conj().T if hermitian else matrix.T
+    return 0.5 * matrix + 0.5 * other
+
+
 @dataclass(frozen=True)
 class TakagiFactorization:
     """Takagi factorization S = F diag(k) F^T of a complex symmetric matrix.
@@ -199,7 +208,7 @@ def takagi(matrix: np.ndarray) -> TakagiFactorization:
     size = sym.shape[0]
     if not sym.any():
         return TakagiFactorization(np.eye(size, dtype=np.complex128), np.zeros(size))
-    sym = 0.5 * (sym + sym.T)
+    sym = _symmetric_part(sym)
     values, vectors = np.linalg.eigh(np.block([[sym.real, sym.imag], [sym.imag, -sym.real]]))
     values, vectors = values[::-1][:size], vectors[:, ::-1][:, :size]
     factor, upper = np.linalg.qr(vectors[:size] + 1j * vectors[size:])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _symmetric_part
+
 __all__ = [
     "CircularitySpectrum",
     "CovariancePair",
@@ -88,13 +90,9 @@ def sample_covariances(samples) -> CovariancePair:
     """
     data = as_data_matrix(samples)
     count = data.shape[1]
-    covariance = data @ data.conj().T / count
-    complementary = data @ data.T / count
-    return CovariancePair(
-        covariance=0.5 * (covariance + covariance.conj().T),
-        complementary=0.5 * (complementary + complementary.T),
-        sample_count=count,
-    )
+    covariance = _symmetric_part(data @ data.conj().T / count, hermitian=True)
+    complementary = _symmetric_part(data @ data.T / count)
+    return CovariancePair(covariance, complementary, count)
 
 
 def augmented_covariance(pair: CovariancePair) -> np.ndarray:
@@ -115,7 +113,7 @@ def _whitening(matrix, rcond: float, name: str) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"{name} is not finite")
     if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
         raise ValueError("matrix is not Hermitian")
-    values, vectors = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    values, vectors = np.linalg.eigh(_symmetric_part(mat, hermitian=True))
     if values[-1] <= 0.0:
         raise ValueError("rank zero covariance")
     keep = values > rcond * values[-1]
@@ -141,8 +139,7 @@ def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.n
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
     vectors, inv_roots = _whitening(matrix, rcond, "matrix")
-    out = (vectors * inv_roots) @ vectors.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _symmetric_part((vectors * inv_roots) @ vectors.conj().T, hermitian=True)
 
 
 def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]:
@@ -156,10 +153,8 @@ def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]
         raise ValueError("covariance is not finite")
     vectors, inv_roots = _whitening(pair.covariance, DEFAULT_RCOND, "covariance")
     vectors, inv_roots = vectors[:, ::-1], inv_roots[::-1]
-    rotated = vectors.conj().T @ pair.complementary @ vectors.conj()
-    rotated = 0.5 * (rotated + rotated.T)
-    coherence = (inv_roots[:, None] * rotated) * inv_roots[None, :]
-    coherence = 0.5 * (coherence + coherence.T)
+    rotated = _symmetric_part(vectors.conj().T @ pair.complementary @ vectors.conj())
+    coherence = _symmetric_part((inv_roots[:, None] * rotated) * inv_roots[None, :])
     spectra = []
     for rank in (inv_roots.size,) if ranks is None else ranks:
         coeffs = np.linalg.svd(coherence[:rank, :rank], compute_uv=False)
@@ -173,20 +168,10 @@ def circularity_coefficients(pair: CovariancePair) -> CircularitySpectrum:
     Singular values of the coherence matrix (the complementary covariance
     whitened on both sides by the pseudoinverse square root of the
     covariance, cut at ``DEFAULT_RCOND``), sorted descending and clamped to
-    [0, 1]: the rank-m entry of ``circularity_profile``'s engine. The
+    [0, 1]: the rank-m spectrum of the engine that ``detect`` uses. The
     covariance must be nonempty, square, Hermitian within 1e-8 and nonzero.
     """
     return _principal_spectra(pair, None)[0]
-
-
-def _principal_basis(covariance: np.ndarray, rank: int) -> np.ndarray:
-    values, vectors = np.linalg.eigh(covariance)
-    basis = vectors[:, ::-1][:, :rank]
-    # rotate each eigenvector so its largest-modulus entry is real positive
-    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(rank)]
-    scale = np.abs(lead)
-    phase = np.where(scale > 0.0, lead / np.where(scale > 0.0, scale, 1.0), 1.0)
-    return basis * phase.conj()
 
 
 def pca_reduce(samples, rank: int) -> np.ndarray:
@@ -201,19 +186,25 @@ def pca_reduce(samples, rank: int) -> np.ndarray:
     channels, count = data.shape
     if not 1 <= rank <= min(channels, count):
         raise ValueError("rank must lie in 1..min(channels, snapshots)")
-    pair = sample_covariances(data)
-    return _principal_basis(pair.covariance, rank).conj().T @ data
+    vectors = np.linalg.eigh(sample_covariances(data).covariance)[1]
+    basis = vectors[:, ::-1][:, :rank]
+    # rotate each eigenvector so its largest-modulus entry is real positive
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(rank)]
+    scale = np.abs(lead)
+    phase = np.where(scale > 0.0, lead / np.where(scale > 0.0, scale, 1.0), 1.0)
+    return (basis * phase.conj()).conj().T @ data
 
 
 def circularity_profile(samples, r_max: int) -> list[CircularitySpectrum]:
     """Circularity coefficients of the rank-r PCA description, r = 1..r_max.
 
     Equivalent to pca_reduce -> sample_covariances ->
-    circularity_coefficients at every rank, and the same engine: in the
-    principal basis the rank-r covariance is diagonal, so the sweep costs
-    one eigendecomposition plus r_max small SVDs. The data are first
-    scaled by an exact power of two, so the profile is the same across the
-    double range and bit-identical under power-of-two scaling.
+    circularity_coefficients at every rank, from the engine that ``detect``
+    uses: in the principal basis the rank-r covariance is diagonal, so the
+    sweep costs one eigendecomposition plus r_max small SVDs. The data are
+    first scaled by an exact power of two, as ``detect`` scales them, so the
+    profile is the same across the double range and bit-identical under
+    power-of-two scaling.
     """
     data = as_data_matrix(samples)
     channels, count = data.shape

@@ -162,6 +162,12 @@ class TestDetect:
         assert main(["detect", str(data_path), "--detector", detector, "--pfa", p_fa]) == 2
         err = capsys.readouterr().err
         assert err == "error: p_fa must lie strictly between 0 and 1\n"
+        # a plan's pfa_list fails with the same line, whatever its detectors
+        plan_path = write_plan(tmp_path)
+        text = plan_path.read_text().replace("itc_rr, glrt_rr", detector.replace("-", "_"))
+        plan_path.write_text(text.replace("pfa_list = 0.005", f"pfa_list = {p_fa}"))
+        assert main(["montecarlo", str(plan_path), "-o", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == err
 
     def test_default_rmax_of_zero_names_its_rule(self, tmp_path, capsys):
         data_path = tmp_path / "two.txt"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -15,6 +15,7 @@ from improperdim import (
     chi2_quantile,
     circularity_coefficients,
     circularity_profile,
+    detect,
     generate_scenario,
     glrt_full,
     glrt_reduced,
@@ -387,9 +388,13 @@ class TestGlrtReduced:
     inputs=detector_inputs(),
     df_rule=st.sampled_from(DF_RULES),
     p_fa=st.floats(1e-12, 0.5),
+    exponent=st.sampled_from((-600, 0, 600)),
 )
-def test_table_kernels_equal_the_per_rank_loops_bit_for_bit(inputs, df_rule, p_fa):
+def test_table_kernels_equal_the_per_rank_loops_bit_for_bit(inputs, df_rule, p_fa, exponent):
     data, r_max = inputs
+    parts = np.ldexp(data.view(np.float64), exponent)
+    assume(np.array_equal(np.ldexp(parts, -exponent), data.view(np.float64)))  # no entry rounded
+    data = parts.view(np.complex128)
     count = data.shape[1]
     pair = sample_covariances(_unit_scaled(data))
     profile = circularity_profile(data, r_max)
@@ -421,6 +426,16 @@ def test_table_kernels_equal_the_per_rank_loops_bit_for_bit(inputs, df_rule, p_f
             assert box_statistic(entry, order, df_rule)[0] == reduced.statistics[rank - 1, order]
             fit = itc_fit_term(entry, order)
             assert fit + itc_penalty(order, rank, count) == scores[rank - 1, order]
+    # detect decides from the wrappers' spectra, at M < 2m and 2**-600 or 2**600 too
+    routes = {
+        "itc_full": mdl_itc_full(spectrum),
+        "itc_rr": mdl_itc_reduced(profile, r_max, count),
+        "glrt_full": full,
+        "glrt_rr": reduced,
+    }
+    for detector, expected in routes.items():
+        found = detect(data, detector, p_fa=p_fa, r_max=r_max, box_df=df_rule)
+        assert result_bytes(found) == result_bytes(expected)
 
 
 class TestCachedTables:

@@ -353,6 +353,49 @@ class TestRunExperiment:
             run_experiment(plan, box_df="bogus")
         assert generated == []
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("detector", "music"), ("box_df", "bogus")]
+        + [("p_fa", value) for value in (0.0, 1.0, -1.0, float("nan"), 7.0)],
+    )
+    def test_each_bad_option_gives_one_message_before_the_first_trial(
+        self, monkeypatch, tmp_path, option, value
+    ):
+        data = generate_scenario(small_scenario(snapshot_count=300, seed=0))
+        generated = []
+        monkeypatch.setattr(harness, "generate_scenario", generated.append)
+        options = {"detector": "glrt_rr", "box_df": "derived", "p_fa": 0.005, option: value}
+        detector, box_df, p_fa = options["detector"], options["box_df"], options["p_fa"]
+        plan_text = PLAN_TEXT.replace("itc_rr, glrt_rr", detector).replace(
+            "0.005, 0.001", repr(p_fa)
+        )
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(plan_text)
+        calls = [
+            lambda: detect(data, detector, p_fa=p_fa, box_df=box_df),
+            lambda: run_montecarlo(plan_path, tmp_path / "curve.csv", box_df=box_df),
+        ]
+        if option == "box_df":  # a plan has no d.f. rule; the run takes it
+            calls.append(lambda: run_experiment(parse_plan(plan_text), box_df=box_df))
+        else:
+            scenario = small_scenario(snapshot_count=300, seed=0)
+            calls.append(lambda: parse_plan(plan_text))
+            calls.append(lambda: ExperimentPlan(scenario, (300,), 1, (detector,), (p_fa,), 1))
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call()
+            messages.append(str(caught.value))
+        expected = {
+            "detector": "unknown detector 'music' "
+            "(expected one of itc_full, itc_rr, glrt_full, glrt_rr)",
+            "box_df": "unknown df_rule 'bogus'; expected one of ('derived', 'printed')",
+            "p_fa": "p_fa must lie strictly between 0 and 1",
+        }[option]
+        assert messages == [expected] * len(calls)
+        assert generated == []
+        assert not (tmp_path / "curve.csv").exists()
+
 
 AR_PLAN_TEXT = PLAN_TEXT.replace(
     "noise_kind = white\nnoise_variance = 1\n",

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
@@ -284,3 +287,35 @@ class TestHermitianInvSqrt:
 def test_non_finite_matrix_is_refused(function, value):
     with pytest.raises(ValueError, match="^matrix is not finite$"):
         function(np.array([[value, 0.0], [0.0, 1.0]]))
+
+
+class TestHugeFiniteEntries:
+    """Entries above half the largest double, where the sum of a matrix and
+    its transpose overflows."""
+
+    def test_hermitian_inv_sqrt(self):
+        # 1 lies below rcond times 1.5e308, so its inverse root is cut to 0
+        root = hermitian_inv_sqrt(np.diag([1.5e308, 1.0]))
+        assert np.array_equal(root, np.diag([1.5e308**-0.5, 0.0]))
+
+    def test_takagi(self):
+        factors = takagi([[1.5e308, 0.0], [0.0, 1.0]])
+        assert np.array_equal(factors.singular_values, [1.5e308, 1.0])
+        assert np.array_equal(factors.factor_unitary, np.eye(2))
+
+
+# nonzero doubles whose halves are normal and whose pairwise sums are finite
+_magnitudes = st.floats(2.0**-1021, 2.0**1022)
+_normal_range = st.one_of(_magnitudes, _magnitudes.map(lambda x: -x))
+_square_parts = st.integers(1, 6).flatmap(
+    lambda size: hnp.arrays(np.float64, (size, size, 2), elements=_normal_range)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(parts=_square_parts, hermitian=st.booleans())
+def test_symmetric_part_has_the_bits_of_the_halved_sum(parts, hermitian):
+    matrix = parts.view(np.complex128)[..., 0]
+    other = matrix.conj().T if hermitian else matrix.T
+    expected = 0.5 * (matrix + other)
+    assert numerics._symmetric_part(matrix, hermitian).tobytes() == expected.tobytes()

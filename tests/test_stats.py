@@ -285,3 +285,10 @@ class TestDoubleRangeEdges:
         nan_pair = CovariancePair(np.eye(2), np.array([[np.nan, 0.0], [0.0, 0.0]]), 10)
         with pytest.raises(ValueError, match="covariance is not finite"):
             circularity_coefficients(nan_pair)
+
+    def test_finite_entries_near_the_largest_double_do_not_overflow(self):
+        # 1.5e308 + 1.5e308 overflows; the re-symmetrisation halves first
+        pair = CovariancePair(np.diag([1.5e308, 1.0]), np.eye(2), 10)
+        small = CovariancePair(np.ldexp(pair.covariance, -600), np.ldexp(np.eye(2), -600), 10)
+        coefficients = circularity_coefficients(pair).coefficients
+        assert coefficients.tobytes() == circularity_coefficients(small).coefficients.tobytes()
