@@ -168,6 +168,36 @@ def _symmetric_part(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return 0.5 * matrix + 0.5 * other
 
 
+def _unit_scaled(matrix: np.ndarray, even: bool = False) -> np.ndarray:
+    """``matrix`` times the power of two (an even one when ``even``) that
+    puts its largest real or imaginary part in [0.5, 1) (in [0.25, 1)); exact."""
+    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    exponent = np.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -exponent - (exponent % 2 if even else 0)).view(np.complex128)
+
+
+def _structured(matrix, hermitian: bool, name: str) -> np.ndarray:
+    """The exact symmetric (Hermitian) part of a nonempty, square, finite
+    matrix, refused if its asymmetry passes 1e-8 of its largest real or
+    imaginary part: judged unit-scaled, so at every scale alike."""
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+        raise ValueError("expected a nonempty square matrix")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} is not finite")
+    unit = _unit_scaled(mat)
+    skew = unit - (unit.conj().T if hermitian else unit.T)
+    if 1e8 * np.abs(skew.view(np.float64)).max() > np.abs(unit.view(np.float64)).max():
+        raise ValueError(f"{name} is not {'Hermitian' if hermitian else 'complex symmetric'}")
+    return _symmetric_part(mat, hermitian)
+
+
+def _unit_phase(z: np.ndarray) -> np.ndarray:
+    """z / |z| entrywise, and 1 where z is 0."""
+    scale = np.abs(z)
+    return np.divide(z, scale, out=np.ones_like(z), where=scale > 0.0)
+
+
 @dataclass(frozen=True)
 class TakagiFactorization:
     """Takagi factorization S = F diag(k) F^T of a complex symmetric matrix.
@@ -191,30 +221,16 @@ def takagi(matrix: np.ndarray) -> TakagiFactorization:
     eps / (k + k'), so one QR over the columns, in descending k and
     rescaled to the columns' own phases, moves that error onto the
     smaller-k column and keeps F unitary, also on blocks of repeated or
-    zero singular values.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Square, finite, complex symmetric matrix (max entry of S - S^T within 1e-8).
+    zero singular values. The input is checked as the README module map says.
     """
-    sym = np.asarray(matrix, dtype=np.complex128)
-    if sym.ndim != 2 or sym.shape[0] != sym.shape[1] or sym.shape[0] == 0:
-        raise ValueError("takagi expects a nonempty square matrix")
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("matrix is not finite")
-    if np.max(np.abs(sym - sym.T)) > 1e-8:
-        raise ValueError("matrix is not complex symmetric")
+    sym = _structured(matrix, False, "matrix")
     size = sym.shape[0]
     if not sym.any():
         return TakagiFactorization(np.eye(size, dtype=np.complex128), np.zeros(size))
-    sym = _symmetric_part(sym)
     values, vectors = np.linalg.eigh(np.block([[sym.real, sym.imag], [sym.imag, -sym.real]]))
     values, vectors = values[::-1][:size], vectors[:, ::-1][:, :size]
     factor, upper = np.linalg.qr(vectors[:size] + 1j * vectors[size:])
-    diag = upper.diagonal()
-    scale = np.abs(diag)
-    factor *= np.where(scale > 0.0, diag / np.where(scale > 0.0, scale, 1.0), 1.0)
+    factor *= _unit_phase(upper.diagonal())
     # sign flips leave F diag(k) F^T unchanged; pin them so e.g. real
     # positive diagonal input yields F = I regardless of LAPACK signs
     lead = factor[np.argmax(np.abs(factor), axis=0), np.arange(size)]

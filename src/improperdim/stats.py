@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _symmetric_part
+from .numerics import _structured, _symmetric_part, _unit_phase, _unit_scaled
 
 __all__ = [
     "CircularitySpectrum",
@@ -73,14 +73,6 @@ def as_data_matrix(samples) -> np.ndarray:
     return data
 
 
-def _unit_scaled(data: np.ndarray) -> np.ndarray:
-    """``data`` times the power of two that puts its largest real or
-    imaginary part in [0.5, 1): exact, and the coefficients are scale
-    invariant, so covariances stay clear of overflow and underflow."""
-    parts = np.ascontiguousarray(data).view(np.float64)
-    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
-
-
 def sample_covariances(samples) -> CovariancePair:
     """Sample covariance and complementary covariance with 1/M scaling.
 
@@ -101,19 +93,11 @@ def augmented_covariance(pair: CovariancePair) -> np.ndarray:
     return np.block([[cov, comp], [comp.conj(), cov.conj()]])
 
 
-def _whitening(matrix, rcond: float, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvectors of a Hermitian PSD matrix and the inverse
-    square roots of their eigenvalues, 0 at or below ``rcond`` times the
-    largest. The matrix must be nonempty, square, finite, Hermitian within
-    1e-8 and nonzero; ``name`` names it in the finiteness error."""
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} is not finite")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
-    values, vectors = np.linalg.eigh(_symmetric_part(mat, hermitian=True))
+def _whitening(hermitian: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvectors of a checked, nonzero Hermitian PSD matrix and
+    the inverse square roots of their eigenvalues, 0 at or below ``rcond``
+    times the largest."""
+    values, vectors = np.linalg.eigh(hermitian)
     if values[-1] <= 0.0:
         raise ValueError("rank zero covariance")
     keep = values > rcond * values[-1]
@@ -127,18 +111,12 @@ def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.n
     zero and their inverse roots set to 0, so near-singular covariances
     yield the inverse root of the retained eigenspace only. The Hermitian
     choice of root keeps whitened complementary covariances complex
-    symmetric.
-
-    Parameters
-    ----------
-    matrix : ndarray
-        Square, finite, Hermitian PSD matrix (max deviation from Hermitian 1e-8).
-    rcond : float
-        Relative eigenvalue cutoff in (0, 1).
+    symmetric. ``rcond`` lies in (0, 1); ``matrix`` is checked as the
+    README module map says.
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
-    vectors, inv_roots = _whitening(matrix, rcond, "matrix")
+    vectors, inv_roots = _whitening(_structured(matrix, True, "matrix"), rcond)
     return _symmetric_part((vectors * inv_roots) @ vectors.conj().T, hermitian=True)
 
 
@@ -148,12 +126,17 @@ def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]
     covariance is diagonal, so the rank-r coherence matrix is the leading
     r x r block of one whitened, symmetrised m x m coherence matrix, and
     each rank costs one small SVD of its block; eigenvalues at or below
-    ``DEFAULT_RCOND`` times the largest get a zero inverse root."""
-    if not np.all(np.isfinite(pair.complementary)):
-        raise ValueError("covariance is not finite")
-    vectors, inv_roots = _whitening(pair.covariance, DEFAULT_RCOND, "covariance")
+    ``DEFAULT_RCOND`` times the largest get a zero inverse root. One even
+    power of two scales the checked pair: every scale gives the same bits."""
+    covariance = _structured(pair.covariance, True, "covariance")
+    complementary = _structured(pair.complementary, False, "covariance")
+    if complementary.shape != covariance.shape:
+        shapes = f"{covariance.shape} and {complementary.shape}"
+        raise ValueError(f"covariance and complementary covariance differ in shape: {shapes}")
+    covariance, complementary = _unit_scaled(np.stack((covariance, complementary)), even=True)
+    vectors, inv_roots = _whitening(covariance, DEFAULT_RCOND)
     vectors, inv_roots = vectors[:, ::-1], inv_roots[::-1]
-    rotated = _symmetric_part(vectors.conj().T @ pair.complementary @ vectors.conj())
+    rotated = _symmetric_part(vectors.conj().T @ complementary @ vectors.conj())
     coherence = _symmetric_part((inv_roots[:, None] * rotated) * inv_roots[None, :])
     spectra = []
     for rank in (inv_roots.size,) if ranks is None else ranks:
@@ -169,7 +152,7 @@ def circularity_coefficients(pair: CovariancePair) -> CircularitySpectrum:
     whitened on both sides by the pseudoinverse square root of the
     covariance, cut at ``DEFAULT_RCOND``), sorted descending and clamped to
     [0, 1]: the rank-m spectrum of the engine that ``detect`` uses. The
-    covariance must be nonempty, square, Hermitian within 1e-8 and nonzero.
+    pair is checked as the README module map says.
     """
     return _principal_spectra(pair, None)[0]
 
@@ -190,9 +173,7 @@ def pca_reduce(samples, rank: int) -> np.ndarray:
     basis = vectors[:, ::-1][:, :rank]
     # rotate each eigenvector so its largest-modulus entry is real positive
     lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(rank)]
-    scale = np.abs(lead)
-    phase = np.where(scale > 0.0, lead / np.where(scale > 0.0, scale, 1.0), 1.0)
-    return (basis * phase.conj()).conj().T @ data
+    return (basis * _unit_phase(lead).conj()).conj().T @ data
 
 
 def circularity_profile(samples, r_max: int) -> list[CircularitySpectrum]:

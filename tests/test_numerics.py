@@ -225,6 +225,9 @@ class TestTakagi:
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="symmetric"):
             takagi(raw)
+        # the asymmetry is judged against the matrix's own scale
+        with pytest.raises(ValueError, match="^matrix is not complex symmetric$"):
+            takagi(1e-10 * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -275,6 +278,9 @@ class TestHermitianInvSqrt:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_inv_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # the asymmetry is judged against the matrix's own scale
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            hermitian_inv_sqrt(1e-10 * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_rejects_bad_rcond(self):
         for rcond in (0.0, 1.0, -1e-3):
@@ -302,6 +308,30 @@ class TestHugeFiniteEntries:
         factors = takagi([[1.5e308, 0.0], [0.0, 1.0]])
         assert np.array_equal(factors.singular_values, [1.5e308, 1.0])
         assert np.array_equal(factors.factor_unitary, np.eye(2))
+
+
+class TestStructureAtEveryScale:
+    """Matrices Hermitian or symmetric up to rounding, built at a large
+    scale, where the rounding error passes any absolute tolerance."""
+
+    @pytest.mark.parametrize("scale", [1e10, 1e100])
+    def test_hermitian_inv_sqrt(self, scale):
+        base = random_unitary(np.random.default_rng(1), 4)
+        matrix = (base * (np.arange(1.0, 5.0) * scale)) @ base.conj().T
+        assert np.abs(matrix - matrix.conj().T).max() > 1e-8
+        root = hermitian_inv_sqrt(matrix)
+        expected = (base / np.sqrt(np.arange(1.0, 5.0) * scale)) @ base.conj().T
+        assert np.abs(root - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("scale", [1e10, 1e100])
+    def test_takagi(self, scale):
+        base = random_unitary(np.random.default_rng(1), 4)
+        matrix = (base * (np.arange(1.0, 5.0) * scale)) @ base.T
+        assert np.abs(matrix - matrix.T).max() > 1e-8
+        out = takagi(matrix)
+        assert np.abs(out.singular_values / scale - [4.0, 3.0, 2.0, 1.0]).max() <= 1e-12
+        rebuilt = (out.factor_unitary * out.singular_values) @ out.factor_unitary.T
+        assert np.abs(rebuilt - matrix).max() <= 1e-12 * scale
 
 
 # nonzero doubles whose halves are normal and whose pairwise sums are finite

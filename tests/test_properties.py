@@ -1,9 +1,13 @@
 """Property tests: dataset files round-trip every finite double, configs
 and plans round-trip through their text, the dataset reader and the
-config and plan parsers fail on any input with FormatError only, and the
-paper's invariants hold on random improper data: coefficients in [0, 1],
-the forced ones at M < 2m, and bit-identical detection under power-of-two
-scaling."""
+config and plan parsers fail on any input with FormatError only, the CLI
+ends any detect run in exit 0, 2 or 3, and the paper's invariants hold on
+random improper data: coefficients in [0, 1], the forced ones at M < 2m,
+bit-identical detection under power-of-two scaling, a scale-free
+structure check, and covariance pairs invariant under channel transforms."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from improperdim import (
     DETECTOR_NAMES,
     DF_RULES,
+    CovariancePair,
     ExperimentPlan,
     FormatError,
     NoiseSpec,
@@ -30,6 +35,8 @@ from improperdim import (
     sample_covariances,
     write_dataset,
 )
+from improperdim.cli import main
+from improperdim.numerics import _structured
 from helpers import detector_inputs, improper_data, result_bytes
 
 # (channels, snapshots, re/im) arrays of finite doubles, -0.0 and subnormals included
@@ -247,3 +254,145 @@ def test_power_of_two_scaling_is_bit_identical(inputs, exponent, df_rule, p_fa):
     for detector in DETECTOR_NAMES:
         expected = result_bytes(detect(data, detector, **options))
         assert result_bytes(detect(scaled.view(np.complex128), detector, **options)) == expected
+
+
+def _scaled(matrix, exponent):
+    return np.ldexp(matrix.view(np.float64), exponent).view(np.complex128)
+
+
+def _structure_verdict(matrix, hermitian, exponent):
+    """The structure check's message on ``matrix`` times 2**exponent, or
+    the symmetric part it returns, scaled back by 2**-exponent."""
+    try:
+        return _scaled(_structured(_scaled(matrix, exponent), hermitian, "matrix"), -exponent)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    data=improper_data(lambda size: st.integers(1, 30 * size)),
+    skew=st.one_of(st.none(), st.floats(-12.0, -4.0)),
+    exponent=st.integers(-500, 500),
+)
+def test_structure_check_and_coefficients_are_scale_free(data, skew, exponent):
+    # plain products: Hermitian and symmetric only up to rounding
+    size, count = data.shape
+    matrices = [data @ data.conj().T / count, data @ data.T / count]
+    if skew is not None:  # a random asymmetry of 10**skew times the largest entry
+        rng = np.random.default_rng(count)
+        noise = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        matrices = [m + 10.0**skew * np.abs(m).max() * noise for m in matrices]
+    for matrix in matrices:
+        assume(np.array_equal(_scaled(_scaled(matrix, exponent), -exponent), matrix))
+    verdicts = []
+    for matrix, hermitian in zip(matrices, (True, False)):
+        verdict = _structure_verdict(matrix, hermitian, 0)
+        scaled = _structure_verdict(matrix, hermitian, exponent)
+        assert type(scaled) is type(verdict)
+        assert (scaled == verdict) if isinstance(verdict, str) else scaled.tobytes() == verdict.tobytes()
+        verdicts.append(verdict)
+    if skew is None:
+        assert not any(isinstance(verdict, str) for verdict in verdicts)
+    if any(isinstance(verdict, str) for verdict in verdicts):
+        return
+    pair = CovariancePair(*matrices, count)
+    moved = CovariancePair(*(_scaled(matrix, exponent) for matrix in matrices), count)
+    expected = circularity_coefficients(pair).coefficients
+    got = circularity_coefficients(moved).coefficients
+    if exponent % 2 == 0:
+        # the engine rescales the pair by an even power of two, so a pair
+        # scaled by 4**j reaches the same bits
+        assert got.tobytes() == expected.tobytes()
+    else:
+        # an odd power scales the inverse roots by sqrt(2), which is not a
+        # double, so each coherence entry rounds differently (about 2 eps)
+        # and each SVD errs on its own input by its backward error, of
+        # order m eps; the largest seen over 3000 draws was 2 m eps
+        assert np.abs(got - expected).max() <= 8 * size * np.finfo(float).eps
+
+
+def _random_unitary(rng, size):
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return np.linalg.qr(raw)[0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    data=improper_data(lambda size: st.integers(2 * size, 30 * size)),
+    seed=seeds,
+    log_cond=st.floats(0.0, 3.0),
+)
+def test_channel_transforms_keep_the_coefficients(data, seed, log_cond):
+    # T = U diag(s) V with s spread over 10**-log_cond..1; (T C T^H, T P T^T)
+    # is the pair of T x, formed here in floating point
+    size, count = data.shape
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** (-log_cond * rng.uniform(0.0, 1.0, size))
+    transform = (_random_unitary(rng, size) * spread) @ _random_unitary(rng, size)
+    pair = sample_covariances(data)
+    moved = CovariancePair(
+        transform @ pair.covariance @ transform.conj().T,
+        transform @ pair.complementary @ transform.T,
+        count,
+    )
+    # forming the moved pair errs by about m eps |T|^2 |C|; whitening by
+    # the moved covariance divides that by its smallest eigenvalue, at least
+    # sigma_min(T)^2 lambda_min(C), so the coefficients move by about
+    # m eps cond(T)^2 cond(C) (at most 3 of those over 3000 random draws)
+    amplification = np.linalg.cond(transform) ** 2 * np.linalg.cond(pair.covariance)
+    assume(amplification < 1e10)  # clear of the 1e-12 eigenvalue cut
+    expected = circularity_coefficients(pair).coefficients
+    got = circularity_coefficients(moved).coefficients
+    assert np.abs(got - expected).max() <= 8 * size * np.finfo(float).eps * amplification
+
+
+finite_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0.0", "1", "5e-324", "1e308", "-1e308", "1e-300", "1e-160"]),
+)
+cli_numbers = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    finite_numbers,
+    st.floats().map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+)
+
+
+@st.composite
+def cli_datasets(draw):
+    """Dataset text of at most a few KB: a well-formed file of small m and
+    M with arbitrary finite numbers, or the reader's malformed texts."""
+    channels, count = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    rows = st.lists(finite_numbers, min_size=2 * channels, max_size=2 * channels)
+    lines = draw(st.lists(rows.map(" ".join), min_size=count, max_size=count))
+    header = f"improperdim v1 m={channels} M={count}"
+    if draw(st.integers(0, 2)):
+        return "\n".join([header, *lines]) + "\n"
+    return draw(dataset_texts())
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    text=cli_datasets(),
+    detector=st.sampled_from(DETECTOR_NAMES),
+    pfa=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr), cli_numbers),
+    r_max=st.one_of(st.none(), st.integers(-3, 14).map(str), st.none(), cli_numbers),
+    df_rule=st.sampled_from(DF_RULES),
+)
+def test_detect_cli_exits_cleanly_on_any_input(dataset_path, text, detector, pfa, r_max, df_rule):
+    dataset_path.write_text(text)
+    argv = ["detect", str(dataset_path), f"--detector={detector.replace('_', '-')}"]
+    argv += [f"--pfa={pfa}", f"--box-df={df_rule}"]
+    argv += [] if r_max is None else [f"--rmax={r_max}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage exit: --rmax is not an integer
+            code = exc.code
+            assert code == 2 and not r_max.lstrip("-").isdigit()
+    assert code in (0, 2, 3)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (0 if code == 0 else 1)
+    assert ("estimated improper dimension" in out.getvalue()) == (code == 0)

@@ -149,11 +149,18 @@ class TestCircularityCoefficients:
         square = np.eye(3, dtype=complex)
         skewed = square.copy()
         skewed[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="not Hermitian"):
-            circularity_coefficients(CovariancePair(skewed, square, 10))
+        for covariance in (skewed, 1e-10 * skewed):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                circularity_coefficients(CovariancePair(covariance, square, 10))
         for covariance in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
             with pytest.raises(ValueError, match="nonempty square"):
                 circularity_coefficients(CovariancePair(covariance, covariance, 10))
+        triangular = np.array([[0.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="^covariance is not complex symmetric$"):
+            circularity_coefficients(CovariancePair(np.eye(2), triangular, 10))
+        message = r"^covariance and complementary covariance differ in shape: \(3, 3\) and \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            circularity_coefficients(CovariancePair(square, np.eye(2), 10))
 
 
 class TestPcaReduce:
