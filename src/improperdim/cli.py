@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .detectors import DF_RULES
-from .fileio import FormatError, load_dataset
+from .fileio import FormatError, load_dataset, parse_float, parse_int
 from .harness import (
     DETECTOR_NAMES,
     InfeasibleOptionsError,
@@ -37,32 +37,29 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a dataset from a scenario config")
     sim.add_argument("config", help="scenario config file (key = value lines)")
     sim.add_argument("-o", "--output", required=True, help="dataset file to write")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sim.add_argument("--seed", help="override the config seed")
     sim.set_defaults(func=_cmd_simulate)
 
     det = sub.add_parser("detect", help="estimate the improper dimension of a dataset")
     det.add_argument("dataset", help="dataset file written by simulate")
     det.add_argument("--detector", required=True, choices=_DETECTOR_CHOICES)
-    det.add_argument(
-        "--pfa", type=float, default=0.005, help="false-alarm probability (glrt detectors)"
-    )
-    det.add_argument(
-        "--rmax", type=int, default=None, help="maximum PCA rank (reduced-rank detectors)"
-    )
+    det.add_argument("--pfa", default="0.005", help="false-alarm probability (glrt detectors)")
+    det.add_argument("--rmax", help="maximum PCA rank (reduced-rank detectors)")
     det.add_argument("--box-df", choices=DF_RULES, default="derived", help=_BOX_DF_HELP)
     det.set_defaults(func=_cmd_detect)
 
     mc = sub.add_parser("montecarlo", help="run an experiment plan and write a CSV curve")
     mc.add_argument("plan", help="experiment plan file (key = value lines)")
     mc.add_argument("-o", "--output", required=True, help="CSV file to write")
-    mc.add_argument("--seed", type=int, default=None, help="override the plan seed")
+    mc.add_argument("--seed", help="override the plan seed")
     mc.add_argument("--box-df", choices=DF_RULES, default="derived", help=_BOX_DF_HELP)
     mc.set_defaults(func=_cmd_montecarlo)
     return parser
 
 
 def _cmd_simulate(args) -> int:
-    config = dump_scenario(args.config, args.output, seed=args.seed)
+    seed = None if args.seed is None else parse_int("--seed", args.seed)
+    config = dump_scenario(args.config, args.output, seed=seed)
     print(
         f"wrote {args.output}: m={config.sensor_count}, M={config.snapshot_count}, "
         f"seed={config.seed}"
@@ -72,14 +69,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     detector = args.detector.replace("-", "_")
+    p_fa = parse_float("--pfa", args.pfa)
+    r_max = None if args.rmax is None else parse_int("--rmax", args.rmax)
     data = load_dataset(args.dataset)
-    result = detect(data, detector, p_fa=args.pfa, r_max=args.rmax, box_df=args.box_df)
-    print(format_detection_report(result, detector, *data.shape, p_fa=args.pfa))
+    result = detect(data, detector, p_fa=p_fa, r_max=r_max, box_df=args.box_df)
+    print(format_detection_report(result, detector, *data.shape, p_fa=p_fa))
     return 0
 
 
 def _cmd_montecarlo(args) -> int:
-    rows = run_montecarlo(args.plan, args.output, box_df=args.box_df, seed=args.seed)
+    seed = None if args.seed is None else parse_int("--seed", args.seed)
+    rows = run_montecarlo(args.plan, args.output, box_df=args.box_df, seed=seed)
     print(f"wrote {args.output}: {len(rows)} rows")
     return 0
 

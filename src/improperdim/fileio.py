@@ -56,7 +56,8 @@ def write_dataset(path, samples) -> None:
 
 
 def load_dataset(path) -> np.ndarray:
-    """Load a dataset file back into a channels-by-snapshots complex matrix."""
+    """Load a dataset file back into a channels-by-snapshots complex matrix:
+    one ``np.loadtxt`` pass, and the line loop only to name a bad line."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             lines = handle.read().splitlines()
@@ -77,7 +78,20 @@ def load_dataset(path) -> np.ndarray:
     # than the lines can hold fails before the matrix is allocated
     if sum(map(len, body)) < (4 * channels - 1) * count:
         raise FormatError(f"snapshot lines are too short for {2 * channels} fields each")
-    data = np.empty((channels, count), dtype=np.complex128)
+    try:
+        values = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (count, 2 * channels) or not np.isfinite(values).all():
+        return _parse_snapshot_lines(body, channels)
+    # re/im pairs are complex128's layout; adding 1j * im would turn -0.0 into +0.0
+    return values.view(np.complex128).T.copy()
+
+
+def _parse_snapshot_lines(body: list[str], channels: int) -> np.ndarray:
+    """One line at a time: the FormatError naming the first bad line, or
+    the matrix when a token only float() reads (1_0) refused the one pass."""
+    data = np.empty((channels, len(body)), dtype=np.complex128)
     for column, line in enumerate(body):
         fields = line.split()
         if len(fields) != 2 * channels:
@@ -91,8 +105,6 @@ def load_dataset(path) -> np.ndarray:
             raise FormatError(f"snapshot line {column + 1}: non-numeric field") from None
         if not np.all(np.isfinite(values)):
             raise FormatError(f"snapshot line {column + 1}: non-finite value")
-        # re/im pairs are complex128's memory layout; adding 1j * im would
-        # turn a -0.0 into +0.0
         data[:, column] = values.view(np.complex128)
     return data
 

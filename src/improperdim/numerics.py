@@ -168,12 +168,17 @@ def _symmetric_part(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return 0.5 * matrix + 0.5 * other
 
 
+def _unit_exponent(parts: np.ndarray, even: bool = False) -> int:
+    """The k (even when ``even``) that puts max |2**k parts| in [0.5, 1) ([0.25, 1))."""
+    exponent = np.frexp(np.abs(parts).max())[1]
+    return -exponent - (exponent % 2 if even else 0)
+
+
 def _unit_scaled(matrix: np.ndarray, even: bool = False) -> np.ndarray:
     """``matrix`` times the power of two (an even one when ``even``) that
     puts its largest real or imaginary part in [0.5, 1) (in [0.25, 1)); exact."""
     parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
-    exponent = np.frexp(np.abs(parts).max())[1]
-    return np.ldexp(parts, -exponent - (exponent % 2 if even else 0)).view(np.complex128)
+    return np.ldexp(parts, _unit_exponent(parts, even)).view(np.complex128)
 
 
 def _structured(matrix, hermitian: bool, name: str) -> np.ndarray:

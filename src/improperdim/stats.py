@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _structured, _symmetric_part, _unit_phase, _unit_scaled
+from .numerics import _structured, _symmetric_part, _unit_exponent, _unit_phase, _unit_scaled
 
 __all__ = [
     "CircularitySpectrum",
@@ -116,7 +116,11 @@ def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.n
     """
     if not 0.0 < rcond < 1.0:
         raise ValueError("rcond must lie in (0, 1)")
-    vectors, inv_roots = _whitening(_structured(matrix, True, "matrix"), rcond)
+    checked = _structured(matrix, True, "matrix")
+    # eigh rescales far from unit scale by a factor that is not a power of two;
+    # 4**k times the matrix, largest part in [0.25, 1), has 2**-k times its roots
+    vectors, inv_roots = _whitening(_unit_scaled(checked, even=True), rcond)
+    inv_roots = np.ldexp(inv_roots, _unit_exponent(checked.view(np.float64), even=True) // 2)
     return _symmetric_part((vectors * inv_roots) @ vectors.conj().T, hermitian=True)
 
 

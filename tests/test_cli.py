@@ -288,6 +288,31 @@ def write_plan(tmp_path, trials=1):
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--pfa=abc", "key '--pfa': expected a number, got 'abc'"),
+            ("--rmax=1.5", "key '--rmax': expected an integer, got '1.5'"),
+            ("--seed=x", "key '--seed': expected an integer, got 'x'"),
+        ],
+    )
+    def test_bad_number_exits_2_with_one_error_line(self, tmp_path, capsys, option, message):
+        data_path = tmp_path / "d.txt"
+        write_dataset(data_path, np.ones((2, 4)))
+        config_path = write_config(tmp_path, small_scenario(snapshot_count=5, seed=1))
+        commands = {
+            "--pfa": [["detect", str(data_path), "--detector", "glrt-rr"]],
+            "--rmax": [["detect", str(data_path), "--detector", "itc-rr"]],
+            "--seed": [
+                ["simulate", str(config_path), "-o", str(tmp_path / "out.txt")],
+                ["montecarlo", str(write_plan(tmp_path)), "-o", str(tmp_path / "out.csv")],
+            ],
+        }
+        for argv in commands[option.split("=")[0]]:
+            assert main([*argv, option]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.txt").exists() and not (tmp_path / "out.csv").exists()
+
     def test_detector_choices_are_hyphenated(self, tmp_path, capsys):
         data_path = tmp_path / "d.txt"
         data_path.write_text("improperdim v1 m=1 M=1\n1 0\n")
@@ -411,3 +436,30 @@ sys.exit(any(loaded.values()))
 
 def test_detect_and_serial_montecarlo_never_import_multiprocessing(tmp_path):
     run_every_subcommand(tmp_path, _NO_POOL_SCRIPT)
+
+
+# Runs one detect in a fresh interpreter and reports which of the random
+# generators, the process pool and futures it loaded beyond what numpy's
+# own import loads (numpy before 2.0 imports numpy.random itself).
+_DETECT_IMPORTS_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+from improperdim.cli import main
+assert main(["detect", sys.argv[1], "--detector", "glrt-rr"]) == 0
+heavy = ("numpy.random", "multiprocessing", "concurrent.futures")
+print(sorted(name for name in set(sys.modules) - before if name.startswith(heavy)))
+"""
+
+
+def test_detect_imports_no_random_generator_or_pool(tmp_path):
+    data_path = tmp_path / "data.txt"
+    rng = np.random.default_rng(3)
+    write_dataset(data_path, rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DETECT_IMPORTS_SCRIPT, str(data_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

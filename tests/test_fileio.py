@@ -1,5 +1,7 @@
 """Tests for dataset files and scenario config parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ class TestDatasetRoundTrip:
         assert first_line == "improperdim v1 m=60 M=5"
         assert load_dataset(path).shape == (60, 5)
 
+    def test_token_only_float_reads(self, tmp_path):
+        # np.loadtxt refuses 1_0, so the line loop reads this file
+        path = tmp_path / "underscore.txt"
+        path.write_text("improperdim v1 m=1 M=2\n1_0 -0.0\n2 3\n")
+        data = load_dataset(path)
+        assert data.flags.c_contiguous
+        assert data.tobytes() == np.array([[complex(10.0, -0.0), 2 + 3j]]).tobytes()
+
     def test_single_snapshot(self, tmp_path):
         data = np.array([[1.0 + 2.0j], [3.0 - 4.0j]])
         path = tmp_path / "one.txt"
@@ -118,6 +128,22 @@ class TestDatasetErrors:
         path = tmp_path / "inf.txt"
         path.write_text("improperdim v1 m=1 M=1\n1 inf\n")
         with pytest.raises(FormatError, match="non-finite"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("1 2\n3 4\nnan 5", "snapshot line 3: non-finite value"),
+            ("1 2\n3 x\n5 6", "snapshot line 2: non-numeric field"),
+            ("1 2\n3 4 5\n6 7", "snapshot line 2: expected 2 fields, found 3"),
+            # one field too many on every line: loadtxt reads a wrong shape
+            ("1 2 0\n3 4 0\n5 6 0", "snapshot line 1: expected 2 fields, found 3"),
+        ],
+    )
+    def test_message_names_the_first_bad_line(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"improperdim v1 m=1 M=3\n{lines}\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_dataset(path)
 
     def test_header_larger_than_the_lines_fails_before_allocating(self, tmp_path):
