@@ -36,15 +36,15 @@ print("white-noise benchmark, 60 trials per point (true dimension 4)")
 rows = run_experiment(plan)
 
 print(f"{'detector':>10} {'p_fa':>6} | " + " ".join(f"M={m:<4d}" for m in plan.sample_counts))
-for detector in plan.detectors:
-    for p_fa in plan.p_fa_list if detector.startswith("glrt") else (None,):
-        cells = [row for row in rows if row.detector == detector and row.p_fa == p_fa]
-        cells.sort(key=lambda row: row.sample_count)
-        label = "" if p_fa is None else f"{p_fa:g}"
-        print(
-            f"{detector:>10} {label:>6} | "
-            + " ".join(f"{row.p_detect:6.2f}" for row in cells)
-        )
+# one curve per (detector, p_fa) group of rows, in row order; p_fa is None for MDL
+for detector, p_fa in dict.fromkeys((row.detector, row.p_fa) for row in rows):
+    cells = [row for row in rows if (row.detector, row.p_fa) == (detector, p_fa)]
+    cells.sort(key=lambda row: row.sample_count)
+    label = "" if p_fa is None else f"{p_fa:g}"
+    print(
+        f"{detector:>10} {label:>6} | "
+        + " ".join(f"{row.p_detect:6.2f}" for row in cells)
+    )
 
 out_path = "detection_curves.csv"
 with open(out_path, "w", encoding="ascii") as handle:

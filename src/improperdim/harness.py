@@ -8,21 +8,15 @@ seeding, experiment plan files, and CSV curve emission.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 
-from .detectors import (
-    GlrtDiagnostics,
-    ItcDiagnostics,
-    _check_df_rule,
-    glrt_full,
-    glrt_reduced,
-    mdl_itc_full,
-    mdl_itc_reduced,
-)
+from .detectors import _check_df_rule, glrt_full, glrt_reduced, mdl_itc_full, mdl_itc_reduced
 from .fileio import (
     FormatError,
     format_scenario_fields,
@@ -60,7 +54,22 @@ __all__ = [
     "trial_seed",
 ]
 
-DETECTOR_NAMES = ("itc_full", "itc_rr", "glrt_full", "glrt_rr")
+
+# What each detector name means; its position is its trial_seed index. Whether it scans PCA
+# ranks 1..r_max (else it takes the one rank-m spectrum), whether it takes a p_fa, and its
+# decision on the spectra, given the keywords it names of r_max, count (M), p_fa and rule.
+_Detector = namedtuple("_Detector", "reduced tested decide")
+_DETECTORS = {
+    "itc_full": _Detector(False, False, lambda spectra, **_: mdl_itc_full(spectra[0])),
+    "itc_rr": _Detector(
+        True, False, lambda spectra, r_max, count, **_: mdl_itc_reduced(spectra, r_max, count)
+    ),
+    "glrt_full": _Detector(False, True, lambda spectra, p_fa, **_: glrt_full(spectra[0], p_fa)),
+    "glrt_rr": _Detector(
+        True, True, lambda spectra, r_max, p_fa, rule, **_: glrt_reduced(spectra, r_max, p_fa, rule)
+    ),
+}
+DETECTOR_NAMES = tuple(_DETECTORS)
 CSV_HEADER = "detector,p_fa,M,trials,p_detect,mean_selected_rank"
 
 _PLAN_ONLY_KEYS = frozenset({"M", "trials", "sample_counts", "detectors", "pfa_list", "r_max"})
@@ -76,12 +85,22 @@ def default_r_max(sensor_count: int, snapshot_count: int) -> int:
     return min(snapshot_count // 3, sensor_count, snapshot_count - 1)
 
 
+def _whole(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ValueError for a bool, a non-integral value or one below ``least``."""
+    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
+
+
 def _resolved_r_max(r_max: int | None, channels: int, count: int) -> int:
     """Maximum PCA rank for m x M data: ``r_max``, or the default when None.
 
     Raises InfeasibleOptionsError unless it lies in 1..m and below M.
     """
-    rank_cap = default_r_max(channels, count) if r_max is None else int(r_max)
+    rank_cap = default_r_max(channels, count) if r_max is None else _whole("r_max", r_max)
     if rank_cap >= count:
         raise InfeasibleOptionsError(
             f"r_max={rank_cap} must be smaller than the snapshot count M={count}"
@@ -97,8 +116,8 @@ def _resolved_r_max(r_max: int | None, channels: int, count: int) -> int:
 
 def _check_options(detectors, p_fas, box_df: str = "derived") -> None:
     """Refuse an unknown detector, an unknown d.f. rule or a p_fa outside
-    (0, 1): the one option check of ``detect``, ``ExperimentPlan`` and
-    ``run_experiment``, each before its first trial."""
+    (0, 1): the one option check of ``detect``, ``ExperimentPlan``,
+    ``run_experiment`` (each before its first trial) and the report."""
     for name in detectors:
         if name not in DETECTOR_NAMES:
             raise ValueError(
@@ -109,21 +128,16 @@ def _check_options(detectors, p_fas, box_df: str = "derived") -> None:
         raise ValueError("p_fa must lie strictly between 0 and 1")
 
 
-def _decide(data, detector: str, rank_cap, p_fas, box_df: str) -> dict:
+def _decide(data, detector: str, r_max, p_fas, box_df: str) -> dict:
     """One detector on a data matrix: {p_fa: result}. One covariance pair of
     the data, scaled by a power of two so detection works across the double
-    range, gives one spectrum or rank profile for every p_fa; MDL maps
-    every key to one result."""
+    range, gives one spectrum, or one profile of ranks 1..r_max, for every p_fa."""
+    reduced, _, decide = _DETECTORS[detector]
+    rank_cap = _resolved_r_max(r_max, *data.shape) if reduced else None
     pair = sample_covariances(_unit_scaled(data))
-    full = detector.endswith("_full")
-    spectra = _principal_spectra(pair, None if full else range(1, rank_cap + 1))
-    if detector == "itc_full":
-        return dict.fromkeys(p_fas, mdl_itc_full(spectra[0]))
-    if detector == "glrt_full":
-        return {p_fa: glrt_full(spectra[0], p_fa) for p_fa in p_fas}
-    if detector == "itc_rr":
-        return dict.fromkeys(p_fas, mdl_itc_reduced(spectra, rank_cap, pair.sample_count))
-    return {p_fa: glrt_reduced(spectra, rank_cap, p_fa, df_rule=box_df) for p_fa in p_fas}
+    spectra = _principal_spectra(pair, range(1, rank_cap + 1) if reduced else None)
+    options = {"r_max": rank_cap, "count": pair.sample_count, "rule": box_df}
+    return {p_fa: decide(spectra, p_fa=p_fa, **options) for p_fa in p_fas}
 
 
 def detect(
@@ -143,8 +157,7 @@ def detect(
     """
     data = as_data_matrix(samples)
     _check_options((detector,), (p_fa,), box_df)  # every option, for every detector
-    rank_cap = _resolved_r_max(r_max, *data.shape) if detector.endswith("_rr") else None
-    return _decide(data, detector, rank_cap, (p_fa,), box_df)[p_fa]
+    return _decide(data, detector, r_max, (p_fa,), box_df)[p_fa]
 
 
 def run_detection(
@@ -163,46 +176,39 @@ def format_detection_report(
     result, detector: str, channels: int, count: int, p_fa: float | None = None
 ) -> str:
     """Human-readable report: estimate, selected rank, diagnostic table.
-    The header shows ``p_fa`` for the glrt detectors only."""
-    head = f"detector: {detector}"
-    if p_fa is not None and detector.startswith("glrt"):
-        head += f" (p_fa={p_fa:g})"
-    lines = [head, f"dataset: m={channels}, M={count}"]
-    if detector in ("itc_full", "glrt_full") and count < 2 * channels:
+    The header shows ``p_fa`` for the glrt detectors only. A reduced-rank
+    table has one row per PCA rank, its cells taken at the rank's pick; a
+    full-sample table has one row per order."""
+    _check_options((detector,), ())
+    reduced, tested, _ = _DETECTORS[detector]
+    shown = f" (p_fa={float(p_fa)!r})" if p_fa is not None and tested else ""
+    lines = [f"detector: {detector}{shown}", f"dataset: m={channels}, M={count}"]
+    if not reduced and count < 2 * channels:
         lines.append(
             "note: M < 2m snapshots; full-sample estimates are unreliable in this "
             "regime (rank deficiency forces sample circularity coefficients to 1), "
             "consider itc_rr or glrt_rr"
         )
     lines.append(f"estimated improper dimension: {result.estimate}")
-    if getattr(result, "selected_rank", None) is not None:
-        lines.append(f"selected PCA rank: {result.selected_rank}")
-    if isinstance(result, ItcDiagnostics):
-        lines.append("rank  d_hat     score")
-        for rank in range(1, result.per_rank_argmin.size + 1):
-            order = int(result.per_rank_argmin[rank - 1])
-            lines.append(f"{rank:4d}  {order:5d}  {result.scores[rank - 1, order]: .6g}")
-    elif isinstance(result, GlrtDiagnostics):
-        lines.append("rank  d_hat  statistic  threshold")
-        for rank in range(1, result.per_rank_stop.size + 1):
-            stop = int(result.per_rank_stop[rank - 1])
-            probe = min(stop, rank - 1)
-            note = "" if stop < rank else "  (no order accepted)"
-            lines.append(
-                f"{rank:4d}  {stop:5d}  {result.statistics[rank - 1, probe]: .6g}"
-                f"  {result.thresholds[rank - 1, probe]: .6g}{note}"
-            )
-    elif result.scores is not None:
-        lines.append("order     score")
-        for order, score in enumerate(result.scores):
-            marker = "  *" if order == result.estimate else ""
-            lines.append(f"{order:5d}  {score: .6g}{marker}")
+    tables = (result.statistics, result.thresholds) if tested else (result.scores,)
+    columns = "  statistic  threshold" if tested else "     score"
+    if reduced:
+        lines += [f"selected PCA rank: {result.selected_rank}", "rank  d_hat" + columns]
+        picks = result.per_rank_stop if tested else result.per_rank_argmin
+        for rank, pick in enumerate(picks.tolist(), 1):
+            cells = "".join(f"  {table[rank - 1, min(pick, rank - 1)]: .6g}" for table in tables)
+            note = "" if pick < rank else "  (no order accepted)"
+            lines.append(f"{rank:4d}  {pick:5d}{cells}{note}")
     else:
-        lines.append("order  statistic  threshold  verdict")
-        for order, (statistic, threshold) in enumerate(zip(result.statistics, result.thresholds)):
-            verdict = "accept" if statistic < threshold else "reject"
-            lines.append(f"{order:5d}  {statistic: .6g}  {threshold: .6g}  {verdict}")
-        if result.estimate == result.statistics.size:
+        lines.append("order" + columns + ("  verdict" if tested else ""))
+        for order, row in enumerate(zip(*tables)):
+            cells = "".join(f"  {cell: .6g}" for cell in row)
+            if tested:
+                note = "  accept" if row[0] < row[1] else "  reject"
+            else:
+                note = "  *" if order == result.estimate else ""
+            lines.append(f"{order:5d}{cells}{note}")
+        if tested and result.estimate == len(result.statistics):
             lines.append("(every order rejected; estimate saturates at m)")
     return "\n".join(lines)
 
@@ -227,29 +233,26 @@ class ExperimentPlan:
     r_max: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_counts", tuple(int(v) for v in self.sample_counts))
+        counts = tuple(_whole("sample_counts", v) for v in self.sample_counts)
+        object.__setattr__(self, "sample_counts", counts)
+        object.__setattr__(self, "trials", _whole("trials", self.trials, 1))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "p_fa_list", tuple(float(v) for v in self.p_fa_list))
         if not self.sample_counts:
             raise ValueError("sample_counts must not be empty")
         if any(b <= a for a, b in zip(self.sample_counts, self.sample_counts[1:])):
             raise ValueError("sample_counts must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if not self.detectors:
             raise ValueError("at least one detector is required")
         _check_options(self.detectors, self.p_fa_list)
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("duplicate detector")
-        if any(name.startswith("glrt") for name in self.detectors) and not self.p_fa_list:
+        if any(_DETECTORS[name].tested for name in self.detectors) and not self.p_fa_list:
             raise ValueError("glrt detectors require a nonempty pfa_list")
-        if self.r_max is not None and int(self.r_max) < 1:
-            raise ValueError("r_max must be positive")
-        object.__setattr__(
-            self,
-            "scenario",
-            replace(self.scenario, snapshot_count=self.sample_counts[0], seed=self.base_seed),
-        )
+        if self.r_max is not None:
+            object.__setattr__(self, "r_max", _whole("r_max", self.r_max, 1))
+        scenario = replace(self.scenario, snapshot_count=self.sample_counts[0], seed=self.base_seed)
+        object.__setattr__(self, "scenario", scenario)
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -320,20 +323,15 @@ def trial_seed(base_seed: int, detector_index: int, sample_count: int, trial_ind
     return int(mixer.generate_state(1, np.uint64)[0])
 
 
-def _p_fas(plan: ExperimentPlan, detector: str) -> tuple:
-    """The p_fa values of a detector's curves; MDL has one, None."""
-    return plan.p_fa_list if detector.startswith("glrt") else (None,)
-
-
-def _run_trial(plan: ExperimentPlan, rank_caps: dict, box_df: str, task) -> tuple:
+def _run_trial(plan: ExperimentPlan, box_df: str, task) -> tuple:
     """One Monte Carlo trial, ``task`` = (detector, M, trial index): one
-    (estimate, selected_rank) pair per p_fa of the detector. The one trial
+    (estimate, selected_rank) pair per curve of the detector. The one trial
     function of the in-process run and of the worker pool."""
     detector, count, trial = task
     seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index(detector), count, trial)
     data = generate_scenario(replace(plan.scenario, snapshot_count=count, seed=seed))
-    p_fas = _p_fas(plan, detector)
-    outcomes = _decide(data, detector, rank_caps.get(count), p_fas, box_df)
+    p_fas = plan.p_fa_list if _DETECTORS[detector].tested else (None,)
+    outcomes = _decide(data, detector, plan.r_max, p_fas, box_df)
     return tuple((outcomes[p_fa].estimate, outcomes[p_fa].selected_rank) for p_fa in p_fas)
 
 
@@ -423,23 +421,15 @@ def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveR
     """
     _check_options(plan.detectors, plan.p_fa_list, box_df)
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
-    rank_caps = {
-        count: _resolved_r_max(plan.r_max, plan.scenario.sensor_count, count)
-        for count in plan.sample_counts
-        if any(name.endswith("_rr") for name in plan.detectors)
-    }
-    tasks = [
-        (detector, count, trial)
-        for detector in plan.detectors
-        for count in plan.sample_counts
-        for trial in range(plan.trials)
-    ]
-    run_trial = partial(_run_trial, plan, rank_caps, box_df)
+    if any(_DETECTORS[name].reduced for name in plan.detectors):  # the smallest M is strictest
+        _resolved_r_max(plan.r_max, plan.scenario.sensor_count, plan.sample_counts[0])
+    tasks = list(product(plan.detectors, plan.sample_counts, range(plan.trials)))
+    run_trial = partial(_run_trial, plan, box_df)
     outcomes = dict(zip(tasks, _map_trials(run_trial, tasks)))
     rows = []
     for detector in plan.detectors:
-        reduced = detector.endswith("_rr")
-        for column, p_fa in enumerate(_p_fas(plan, detector)):
+        reduced, tested, _ = _DETECTORS[detector]
+        for column, p_fa in enumerate(plan.p_fa_list if tested else (None,)):
             for count in plan.sample_counts:
                 picks = [outcomes[detector, count, trial][column] for trial in range(plan.trials)]
                 p_detect = sum(estimate == true_dim for estimate, _ in picks) / plan.trials
@@ -452,7 +442,7 @@ def format_curve_csv(rows) -> str:
     """CSV text with the fixed header and one line per curve row."""
     lines = [CSV_HEADER]
     for row in rows:
-        p_fa = "" if row.p_fa is None else f"{row.p_fa:g}"
+        p_fa = "" if row.p_fa is None else repr(float(row.p_fa))
         rank = "" if row.mean_selected_rank is None else f"{row.mean_selected_rank:g}"
         lines.append(
             f"{row.detector},{p_fa},{row.sample_count},{row.trials},{row.p_detect:g},{rank}"

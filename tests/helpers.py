@@ -175,6 +175,52 @@ def reference_glrt_reduced(profile, r_max, p_fa, df_rule):
     return GlrtDiagnostics(statistics, thresholds, float(p_fa), stops, selected_rank, estimate)
 
 
+def reference_detection_report(result, detector, channels, count, p_fa=None):
+    """The detection report built by four branches on the result type: the
+    layout ``format_detection_report`` must keep byte for byte."""
+    head = f"detector: {detector}"
+    if p_fa is not None and detector.startswith("glrt"):
+        head += f" (p_fa={p_fa!r})"
+    lines = [head, f"dataset: m={channels}, M={count}"]
+    if detector in ("itc_full", "glrt_full") and count < 2 * channels:
+        lines.append(
+            "note: M < 2m snapshots; full-sample estimates are unreliable in this "
+            "regime (rank deficiency forces sample circularity coefficients to 1), "
+            "consider itc_rr or glrt_rr"
+        )
+    lines.append(f"estimated improper dimension: {result.estimate}")
+    if getattr(result, "selected_rank", None) is not None:
+        lines.append(f"selected PCA rank: {result.selected_rank}")
+    if isinstance(result, ItcDiagnostics):
+        lines.append("rank  d_hat     score")
+        for rank in range(1, result.per_rank_argmin.size + 1):
+            order = int(result.per_rank_argmin[rank - 1])
+            lines.append(f"{rank:4d}  {order:5d}  {result.scores[rank - 1, order]: .6g}")
+    elif isinstance(result, GlrtDiagnostics):
+        lines.append("rank  d_hat  statistic  threshold")
+        for rank in range(1, result.per_rank_stop.size + 1):
+            stop = int(result.per_rank_stop[rank - 1])
+            probe = min(stop, rank - 1)
+            note = "" if stop < rank else "  (no order accepted)"
+            lines.append(
+                f"{rank:4d}  {stop:5d}  {result.statistics[rank - 1, probe]: .6g}"
+                f"  {result.thresholds[rank - 1, probe]: .6g}{note}"
+            )
+    elif result.scores is not None:
+        lines.append("order     score")
+        for order, score in enumerate(result.scores):
+            marker = "  *" if order == result.estimate else ""
+            lines.append(f"{order:5d}  {score: .6g}{marker}")
+    else:
+        lines.append("order  statistic  threshold  verdict")
+        for order, (statistic, threshold) in enumerate(zip(result.statistics, result.thresholds)):
+            verdict = "accept" if statistic < threshold else "reject"
+            lines.append(f"{order:5d}  {statistic: .6g}  {threshold: .6g}  {verdict}")
+        if result.estimate == result.statistics.size:
+            lines.append("(every order rejected; estimate saturates at m)")
+    return "\n".join(lines)
+
+
 def result_bytes(result):
     """Every field of a detector result, arrays as (dtype, shape, bytes)."""
     return {

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from improperdim import harness
 from improperdim import (
     CSV_HEADER,
     DETECTOR_NAMES,
+    DF_RULES,
+    CurveRow,
     DetectionResult,
     ExperimentPlan,
     FormatError,
@@ -35,7 +38,12 @@ from improperdim import (
     trial_seed,
     write_dataset,
 )
-from helpers import AR_COEFFICIENTS, proper_scenario, small_scenario
+from helpers import (
+    AR_COEFFICIENTS,
+    proper_scenario,
+    reference_detection_report,
+    small_scenario,
+)
 
 PLAN_TEXT = """\
 m = 8
@@ -83,6 +91,9 @@ class TestDetectDispatch:
         data = generate_scenario(small_scenario(snapshot_count=100, seed=2))
         with pytest.raises(ValueError, match="unknown detector"):
             detect(data, "music")
+        # the report reads the detector table, and refuses the name the same way
+        with pytest.raises(ValueError, match="unknown detector 'music'"):
+            format_detection_report(detect(data, "itc_full"), "music", 8, 100)
 
     def test_infeasible_r_max(self):
         data = generate_scenario(small_scenario(snapshot_count=100, seed=3))
@@ -101,6 +112,13 @@ class TestDetectDispatch:
         derived = detect(data, "glrt_rr", box_df="derived")
         printed = detect(data, "glrt_rr", box_df="printed")
         assert not np.array_equal(derived.thresholds, printed.thresholds, equal_nan=True)
+
+    def test_r_max_must_be_an_integer(self):
+        data = generate_scenario(small_scenario(snapshot_count=400, seed=4))
+        for r_max in (2.5, True, float("nan")):
+            with pytest.raises(ValueError, match="r_max must be an integer, got"):
+                detect(data, "itc_rr", r_max=r_max)
+        assert detect(data, "glrt_rr", r_max=3.0).statistics.shape == (3, 3)
 
     @pytest.mark.parametrize("detector", DETECTOR_NAMES)
     def test_unknown_box_df_rejected_by_every_detector(self, detector):
@@ -151,7 +169,45 @@ class TestRunDetection:
         assert run_detection(path, "itc_rr").estimate == 0
 
 
+def every_channel_improper():
+    """3 x 500 data whose three channels are all improper: glrt_full rejects
+    every order and saturates, and glrt_rr accepts no order at some ranks."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((3, 500)) + 0.3j * rng.standard_normal((3, 500))
+
+
 class TestDetectionReport:
+    @pytest.mark.parametrize("box_df", DF_RULES)
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    def test_bytes_equal_the_four_branch_reference(self, detector, box_df):
+        datasets = [
+            generate_scenario(small_scenario(snapshot_count=1500, seed=8)),
+            generate_scenario(small_scenario(snapshot_count=10, seed=9)),  # M < 2m
+            every_channel_improper(),
+        ]
+        reports = []
+        for data, r_max, p_fa in product(datasets, (None, 2), (0.005, 0.9999999999999999)):
+            result = detect(data, detector, p_fa=p_fa, r_max=r_max, box_df=box_df)
+            for shown in (p_fa, None):
+                report = format_detection_report(result, detector, *data.shape, p_fa=shown)
+                assert report == reference_detection_report(result, detector, *data.shape, shown)
+                reports.append(report)
+        # the cases that the layouts treat apart all occur
+        features = {
+            "itc_full": ["note: M < 2m", "  *"],
+            "itc_rr": ["selected PCA rank: ", "rank  d_hat     score"],
+            "glrt_full": ["note: M < 2m", "saturates at m", "accept", "(p_fa=0.9999999999999999)"],
+            "glrt_rr": ["(no order accepted)", "(p_fa=0.9999999999999999)"],
+        }[detector]
+        assert all(any(feature in report for report in reports) for feature in features)
+
+    def test_header_prints_p_fa_at_full_precision(self):
+        data = generate_scenario(small_scenario(snapshot_count=300, seed=11))
+        for p_fa in (0.9999999999999999, 0.0050000001, 1e-300):
+            result = detect(data, "glrt_rr", p_fa=p_fa)
+            head = format_detection_report(result, "glrt_rr", 8, 300, p_fa=p_fa).splitlines()[0]
+            assert head == f"detector: glrt_rr (p_fa={p_fa!r})"
+
     def test_reduced_report_mentions_estimate_and_rank(self):
         data = generate_scenario(small_scenario(snapshot_count=1500, seed=8))
         result = detect(data, "glrt_rr", p_fa=0.005)
@@ -230,6 +286,31 @@ class TestPlanParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError, match="unknown key"):
             parse_plan(PLAN_TEXT + "workers = 4\n")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("r_max", 2.5),
+            ("r_max", True),
+            ("sample_counts", (60.7, 300)),
+            ("sample_counts", (True, 300)),
+            ("trials", np.True_),
+            ("r_max", float("inf")),
+        ],
+    )
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            dataclasses.replace(parse_plan(PLAN_TEXT), **{field: value})
+
+    def test_integral_values_become_ints_and_round_trip(self):
+        plan = dataclasses.replace(
+            parse_plan(PLAN_TEXT), trials=4.0, r_max=np.int64(5), sample_counts=(300.0, 500)
+        )
+        assert (plan.trials, plan.r_max, plan.sample_counts) == (4, 5, (300, 500))
+        assert {type(v) for v in (plan.trials, plan.r_max, *plan.sample_counts)} == {int}
+        assert parse_plan(format_plan(plan)) == plan
 
 
 class TestRunExperiment:
@@ -584,6 +665,12 @@ class TestCsvOutput:
         glrt_line = lines[3].split(",")
         assert glrt_line[0] == "glrt_rr" and glrt_line[1] == "0.005"
         assert len(lines) == 1 + 6
+
+    def test_p_fa_printed_at_full_precision(self):
+        values = (0.005, 0.0050000001, 0.9999999999999999, 1e-05)
+        rows = [CurveRow("glrt_rr", p_fa, 300, 4, 0.5, 2.0) for p_fa in values]
+        fields = [line.split(",")[1] for line in format_curve_csv(rows).splitlines()[1:]]
+        assert fields == ["0.005", "0.0050000001", "0.9999999999999999", "1e-05"]
 
     def test_run_montecarlo_writes_file(self, tmp_path):
         plan_path = tmp_path / "plan.txt"
