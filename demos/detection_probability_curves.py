@@ -2,8 +2,8 @@
 """Walkthrough: Monte Carlo detection probability versus sample count.
 
 Sweeps the benchmark scenario over a grid of snapshot counts and runs
-both reduced-rank detectors on independent trials per point, counting
-only exact recoveries of the true improper dimension (4). Writes the
+both reduced-rank detectors on the same independent trials per point,
+counting only exact recoveries of the true improper dimension (4). Writes the
 curve as CSV next to printing it. 60 trials per point keeps this demo
 around a minute; the acceptance suite runs the full 500-trial version.
 

@@ -55,9 +55,9 @@ __all__ = [
 ]
 
 
-# What each detector name means; its position is its trial_seed index. Whether it scans PCA
-# ranks 1..r_max (else it takes the one rank-m spectrum), whether it takes a p_fa, and its
-# decision on the spectra, given the keywords it names of r_max, count (M), p_fa and rule.
+# What each detector name means: whether it scans PCA ranks 1..r_max (else it takes the
+# one rank-m spectrum), whether it takes a p_fa, and its decision on the spectra, given the
+# keywords it names of r_max, count (M), p_fa and rule.
 _Detector = namedtuple("_Detector", "reduced tested decide")
 _DETECTORS = {
     "itc_full": _Detector(False, False, lambda spectra, **_: mdl_itc_full(spectra[0])),
@@ -128,16 +128,25 @@ def _check_options(detectors, p_fas, box_df: str = "derived") -> None:
         raise ValueError("p_fa must lie strictly between 0 and 1")
 
 
-def _decide(data, detector: str, r_max, p_fas, box_df: str) -> dict:
-    """One detector on a data matrix: {p_fa: result}. One covariance pair of
-    the data, scaled by a power of two so detection works across the double
-    range, gives one spectrum, or one profile of ranks 1..r_max, for every p_fa."""
-    reduced, _, decide = _DETECTORS[detector]
-    rank_cap = _resolved_r_max(r_max, *data.shape) if reduced else None
+def _decide(data, detectors, r_max, p_fas, box_df: str) -> dict:
+    """Detectors on one data matrix: {(detector, p_fa, None if untested): result}.
+    One pair of the data scaled by a power of two (so detection works across
+    the double range) and one spectrum call over ranks 1..r_max, plus rank m
+    for a full-sample detector, serve every detector and p_fa."""
+    channels, count = data.shape
+    scans = [_DETECTORS[name].reduced for name in detectors]
+    rank_cap = _resolved_r_max(r_max, channels, count) if any(scans) else 0
+    full = [] if all(scans) or rank_cap == channels else [channels]
     pair = sample_covariances(_unit_scaled(data))
-    spectra = _principal_spectra(pair, range(1, rank_cap + 1) if reduced else None)
-    options = {"r_max": rank_cap, "count": pair.sample_count, "rule": box_df}
-    return {p_fa: decide(spectra, p_fa=p_fa, **options) for p_fa in p_fas}
+    spectra = _principal_spectra(pair, [*range(1, rank_cap + 1), *full])
+    options = {"r_max": rank_cap, "count": count, "rule": box_df}
+    outcomes = {}
+    for name in detectors:
+        reduced, tested, decide = _DETECTORS[name]
+        chosen = spectra[:rank_cap] if reduced else spectra[-1:]
+        for p_fa in p_fas if tested else (None,):
+            outcomes[name, p_fa] = decide(chosen, p_fa=p_fa, **options)
+    return outcomes
 
 
 def detect(
@@ -157,7 +166,7 @@ def detect(
     """
     data = as_data_matrix(samples)
     _check_options((detector,), (p_fa,), box_df)  # every option, for every detector
-    return _decide(data, detector, r_max, (p_fa,), box_df)[p_fa]
+    return [*_decide(data, (detector,), r_max, (p_fa,), box_df).values()][0]
 
 
 def run_detection(
@@ -245,8 +254,9 @@ class ExperimentPlan:
         if not self.detectors:
             raise ValueError("at least one detector is required")
         _check_options(self.detectors, self.p_fa_list)
-        if len(set(self.detectors)) != len(self.detectors):
-            raise ValueError("duplicate detector")
+        for name, values in (("detector", self.detectors), ("p_fa", self.p_fa_list)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name}")
         if any(_DETECTORS[name].tested for name in self.detectors) and not self.p_fa_list:
             raise ValueError("glrt detectors require a nonempty pfa_list")
         if self.r_max is not None:
@@ -310,29 +320,28 @@ class CurveRow:
     mean_selected_rank: float | None
 
 
-def trial_seed(base_seed: int, detector_index: int, sample_count: int, trial_index: int) -> int:
-    """Derived 64-bit seed for one trial.
+def trial_seed(base_seed: int, detector_index, sample_count: int, trial_index: int) -> int:
+    """Derived 64-bit seed of one (M, trial): every detector of a plan
+    decides on the realization it draws.
 
-    A pure mixing hash of its arguments, so trials are reproducible in any
-    execution order (or concurrently) and per-detector streams never
-    collide.
+    A pure mixing hash of (base seed, M, trial index), so trials are
+    reproducible in any execution order (or concurrently).
+    ``detector_index`` is accepted for callers that still pass one per
+    detector, and no longer used.
     """
-    mixer = np.random.SeedSequence(
-        [int(base_seed), int(detector_index), int(sample_count), int(trial_index)]
-    )
+    mixer = np.random.SeedSequence([int(base_seed), int(sample_count), int(trial_index)])
     return int(mixer.generate_state(1, np.uint64)[0])
 
 
-def _run_trial(plan: ExperimentPlan, box_df: str, task) -> tuple:
-    """One Monte Carlo trial, ``task`` = (detector, M, trial index): one
-    (estimate, selected_rank) pair per curve of the detector. The one trial
-    function of the in-process run and of the worker pool."""
-    detector, count, trial = task
-    seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index(detector), count, trial)
+def _run_trial(plan: ExperimentPlan, box_df: str, task) -> dict:
+    """One Monte Carlo trial, ``task`` = (M, trial index), of every detector of
+    the plan on one realization: {(detector, p_fa): (estimate, selected_rank)}.
+    The one trial function of the in-process run and of the worker pool."""
+    count, trial = task
+    seed = trial_seed(plan.base_seed, None, count, trial)
     data = generate_scenario(replace(plan.scenario, snapshot_count=count, seed=seed))
-    p_fas = plan.p_fa_list if _DETECTORS[detector].tested else (None,)
-    outcomes = _decide(data, detector, plan.r_max, p_fas, box_df)
-    return tuple((outcomes[p_fa].estimate, outcomes[p_fa].selected_rank) for p_fa in p_fas)
+    outcomes = _decide(data, plan.detectors, plan.r_max, plan.p_fa_list, box_df)
+    return {key: (result.estimate, result.selected_rank) for key, result in outcomes.items()}
 
 
 def _usable_cpus() -> int:
@@ -390,6 +399,7 @@ def _map_trials(trial, tasks: list) -> list:
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
+            import numpy.random  # noqa: F401 - trials draw from it; workers fork with it loaded
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, context, _one_openblas_thread) as pool:
                 try:
@@ -402,36 +412,35 @@ def _map_trials(trial, tasks: list) -> list:
 def run_experiment(plan: ExperimentPlan, box_df: str = "derived") -> list[CurveRow]:
     """Run every (detector, p_fa, M) point of the plan.
 
-    Each trial decides through the same dispatch as ``detect``, and a
-    detection counts as a success only when the estimate equals the true
-    improper source count exactly. An infeasible r_max or an unknown
-    ``box_df`` fails before the first trial. Results are independent of
-    detector ordering in the plan because per-trial seeds hash the
-    canonical detector index.
+    A trial is one (M, trial index): one realization, on which every
+    detector of the plan decides through the same dispatch as ``detect``,
+    so the detectors are paired on common draws. A detection counts as a
+    success only when the estimate equals the true improper source count
+    exactly. An infeasible r_max or an unknown ``box_df`` fails before the
+    first trial.
 
-    The trials run over one forked worker process per usable CPU (the
-    process's CPU affinity, so ``taskset`` limits them), at most one per
-    eight trials; a single worker runs them in this process. Every trial's
-    seed is a pure hash of (seed, detector, M, trial) and the rows sum
-    integer hit and rank counts in (detector, p_fa, M, trial) order, so the
-    rows are identical for every worker count. An exception in a trial
-    reaches the caller with its type and message; a worker that dies
-    raises OSError. Workers set OpenBLAS to one thread each; pin other
-    BLAS builds to one thread (``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``).
+    The trials, largest M first, run over one forked worker process per
+    usable CPU (the process's CPU affinity, so ``taskset`` limits them), at
+    most one per eight; a single worker runs them in this process. Every trial's
+    seed is a pure hash of (seed, M, trial) and the rows sum integer hit
+    and rank counts in (detector, p_fa, M, trial) order, so the rows are
+    identical for every worker count. An exception in a trial reaches the
+    caller with its type and message; a worker that dies raises OSError.
+    Workers set OpenBLAS to one thread each; pin other BLAS builds to one
+    thread (``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``).
     """
     _check_options(plan.detectors, plan.p_fa_list, box_df)
     true_dim = sum(1 for source in plan.scenario.sources if source.circularity > 0.0)
     if any(_DETECTORS[name].reduced for name in plan.detectors):  # the smallest M is strictest
         _resolved_r_max(plan.r_max, plan.scenario.sensor_count, plan.sample_counts[0])
-    tasks = list(product(plan.detectors, plan.sample_counts, range(plan.trials)))
-    run_trial = partial(_run_trial, plan, box_df)
-    outcomes = dict(zip(tasks, _map_trials(run_trial, tasks)))
+    tasks = list(product(reversed(plan.sample_counts), range(plan.trials)))
+    outcomes = dict(zip(tasks, _map_trials(partial(_run_trial, plan, box_df), tasks)))
     rows = []
     for detector in plan.detectors:
         reduced, tested, _ = _DETECTORS[detector]
-        for column, p_fa in enumerate(plan.p_fa_list if tested else (None,)):
+        for p_fa in plan.p_fa_list if tested else (None,):
             for count in plan.sample_counts:
-                picks = [outcomes[detector, count, trial][column] for trial in range(plan.trials)]
+                picks = [outcomes[count, trial][detector, p_fa] for trial in range(plan.trials)]
                 p_detect = sum(estimate == true_dim for estimate, _ in picks) / plan.trials
                 mean_rank = sum(rank for _, rank in picks) / plan.trials if reduced else None
                 rows.append(CurveRow(detector, p_fa, count, plan.trials, p_detect, mean_rank))

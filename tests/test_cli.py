@@ -217,7 +217,7 @@ class TestMontecarlo:
         assert main(["montecarlo", str(plan_path), "-o", str(tmp_path / "c.csv")]) == 2
 
     def test_csv_identical_for_every_cpu_count(self, tmp_path, monkeypatch):
-        plan_path = write_plan(tmp_path, trials=8)
+        plan_path = write_plan(tmp_path, trials=16)  # 16 (M, trial) tasks: two workers
         csvs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
@@ -235,9 +235,9 @@ class TestMontecarlo:
         ids=["trial-raises", "worker-dies"],
     )
     def test_worker_failure_exits_2_without_a_csv(self, tmp_path, failure, message):
-        plan_path = write_plan(tmp_path, trials=8)
+        plan_path = write_plan(tmp_path, trials=16)  # 16 (M, trial) tasks: two workers
         plan = parse_plan(plan_path.read_text())
-        seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index("glrt_rr"), 300, 1)
+        seed = trial_seed(plan.base_seed, None, 300, 1)
         out_path = tmp_path / "curve.csv"
         script = _FAILING_TRIAL_SCRIPT.replace("FAILURE", failure)
         proc = subprocess.run(
@@ -264,8 +264,8 @@ real_generate = harness.generate_scenario
 parent = os.getpid()
 
 def failing_generate(config):
+    assert os.getpid() != parent
     if config.seed == seed:
-        assert os.getpid() != parent
         FAILURE
     return real_generate(config)
 

@@ -40,6 +40,7 @@ from improperdim import (
 )
 from helpers import (
     AR_COEFFICIENTS,
+    array_scenario,
     proper_scenario,
     reference_detection_report,
     small_scenario,
@@ -73,10 +74,15 @@ class TestTrialSeed:
         first = trial_seed(7, 1, 500, 3)
         assert first == trial_seed(7, 1, 500, 3)
         assert first != trial_seed(7, 1, 500, 4)
-        assert first != trial_seed(7, 2, 500, 3)
         assert first != trial_seed(7, 1, 400, 3)
         assert first != trial_seed(8, 1, 500, 3)
         assert 0 <= first < 2**64
+
+    def test_same_seed_for_every_detector_index(self):
+        # every detector of a plan decides on the one realization of its (M, trial)
+        for base_seed, count, trial in [(7, 500, 3), (0, 200, 0), (2**40, 1000, 499)]:
+            seeds = {trial_seed(base_seed, index, count, trial) for index in range(-1, 5)}
+            assert seeds == {trial_seed(base_seed, None, count, trial)}
 
 
 class TestDetectDispatch:
@@ -135,6 +141,35 @@ def assert_same_result(first, second):
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field.name
         else:
             assert mine == theirs, field.name
+
+
+class TestSharedDecision:
+    """Every detector of a Monte Carlo trial decides from one spectrum call
+    on one realization, with the bits ``detect`` gives on the same data."""
+
+    @pytest.mark.parametrize(
+        "config, r_max",
+        [
+            (small_scenario(snapshot_count=300, seed=6), None),  # default r_max = m
+            (small_scenario(snapshot_count=300, seed=6), 3),  # rank m is the extra entry
+            (small_scenario(snapshot_count=12, seed=7), None),  # M < 2m, default r_max 4 < m
+            (array_scenario("spatial_ar", snapshot_count=200, seed=8), 5),
+        ],
+        ids=["white-default", "white-r_max-3", "white-M-12", "ar-r_max-5"],
+    )
+    def test_every_detector_decides_as_detect_does(self, config, r_max):
+        data = generate_scenario(config)
+        p_fas = (0.005, 0.001)
+        for detectors in (DETECTOR_NAMES, DETECTOR_NAMES[::-1]):
+            shared = harness._decide(data, detectors, r_max, p_fas, "printed")
+            assert set(shared) == {
+                (name, p_fa)
+                for name in DETECTOR_NAMES
+                for p_fa in (p_fas if name.startswith("glrt") else (None,))
+            }
+            for (detector, p_fa), result in shared.items():  # p_fa None: an MDL detector
+                alone = detect(data, detector, p_fa=p_fa or 0.5, r_max=r_max, box_df="printed")
+                assert_same_result(result, alone)
 
 
 class TestScaleRobustDetection:
@@ -275,6 +310,22 @@ class TestPlanParsing:
         plan = parse_plan(text)
         assert plan.p_fa_list == ()
 
+    @pytest.mark.parametrize(
+        "listed, repeated, message",
+        [
+            ("detectors = itc_rr, glrt_rr", "detectors = itc_rr, glrt_rr, itc_rr", "detector"),
+            ("pfa_list = 0.005, 0.001", "pfa_list = 0.005, 0.001, 5e-3", "p_fa"),
+        ],
+    )
+    def test_repeated_detector_or_p_fa_rejected(self, listed, repeated, message):
+        # outcomes are keyed by (detector, p_fa): a repeat would write one curve twice
+        with pytest.raises(FormatError, match=f"^duplicate {message}$"):
+            parse_plan(PLAN_TEXT.replace(listed, repeated))
+
+    def test_repeated_p_fa_rejected_by_the_plan(self):
+        with pytest.raises(ValueError, match="^duplicate p_fa$"):
+            dataclasses.replace(parse_plan(PLAN_TEXT), p_fa_list=(0.005, 0.001, 0.005))
+
     def test_unknown_detector_rejected(self):
         with pytest.raises(FormatError, match="unknown detector"):
             parse_plan(PLAN_TEXT.replace("detectors = itc_rr, glrt_rr", "detectors = pca"))
@@ -346,18 +397,37 @@ class TestRunExperiment:
         ]
 
     def test_results_independent_of_detector_order(self):
-        base = parse_plan(PLAN_TEXT)
-        flipped = ExperimentPlan(
-            scenario=base.scenario,
-            sample_counts=base.sample_counts,
-            trials=base.trials,
-            detectors=("glrt_rr", "itc_rr"),
-            p_fa_list=base.p_fa_list,
-            base_seed=base.base_seed,
+        # a detector's rows are the same bytes alone, with all four, or in reverse
+        base = dataclasses.replace(parse_plan(PLAN_TEXT), r_max=5)
+        listings = [(name,) for name in DETECTOR_NAMES]
+        listings += [DETECTOR_NAMES, DETECTOR_NAMES[::-1]]
+        lines = {}
+        for detectors in listings:
+            plan = dataclasses.replace(base, detectors=detectors)
+            for line in format_curve_csv(run_experiment(plan)).splitlines()[1:]:
+                lines.setdefault(line.split(",")[0], []).append(line)
+        assert sorted(lines) == sorted(DETECTOR_NAMES)
+        for name, found in lines.items():
+            rows = len(base.sample_counts) * (2 if name.startswith("glrt") else 1)
+            assert found == found[:rows] * 3
+
+    @pytest.mark.parametrize("detectors", [("glrt_rr",), DETECTOR_NAMES])
+    def test_one_realization_per_sample_count_and_trial(self, monkeypatch, detectors):
+        generated = []
+        real_generate = harness.generate_scenario
+
+        def recording_generate(config):
+            generated.append((config.snapshot_count, config.seed))
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", recording_generate)
+        use_cpus(monkeypatch, 1)  # the recorder sees every trial in this process
+        plan = dataclasses.replace(parse_plan(PLAN_TEXT), trials=3, detectors=detectors)
+        run_experiment(plan)
+        assert sorted(generated) == sorted(
+            (count, trial_seed(plan.base_seed, None, count, trial))
+            for count, trial in product(plan.sample_counts, range(plan.trials))
         )
-        first = {(r.detector, r.p_fa, r.sample_count): r for r in run_experiment(base)}
-        second = {(r.detector, r.p_fa, r.sample_count): r for r in run_experiment(flipped)}
-        assert first == second
 
     def test_detects_sources_with_enough_samples(self):
         plan = ExperimentPlan(
@@ -428,7 +498,7 @@ class TestRunExperiment:
             return real_generate(config)
 
         monkeypatch.setattr(harness, "generate_scenario", counting_generate)
-        # trials run detector-major, so a late check would run every itc_rr trial first
+        # a check inside the trial would fail only after the realization was drawn
         plan = dataclasses.replace(parse_plan(PLAN_TEXT), trials=1)  # one in-process worker
         with pytest.raises(ValueError, match="unknown df_rule 'bogus'"):
             run_experiment(plan, box_df="bogus")
@@ -549,13 +619,15 @@ def use_cpus(monkeypatch, count):
 class TestWorkerPool:
     """Trials over worker processes give the in-process rows byte for byte."""
 
+    # a task is one (M, trial) of every detector: 16 tasks start two workers
+    # on two or three CPUs, 24 start three
     @pytest.mark.parametrize(
         "text, box_df",
         [
-            (PLAN_TEXT, "derived"),
-            (PLAN_TEXT, "printed"),
-            (AR_PLAN_TEXT, "derived"),
-            (AR_PLAN_TEXT.replace("trials = 4", "trials = 3\nr_max = 5"), "printed"),
+            (PLAN_TEXT.replace("trials = 4", "trials = 8"), "derived"),
+            (PLAN_TEXT.replace("trials = 4", "trials = 8"), "printed"),
+            (AR_PLAN_TEXT.replace("trials = 4", "trials = 12"), "derived"),
+            (AR_PLAN_TEXT.replace("trials = 4", "trials = 12\nr_max = 5"), "printed"),
         ],
         ids=["white-derived", "white-printed", "ar-derived", "ar-r_max-printed"],
     )
@@ -568,7 +640,7 @@ class TestWorkerPool:
         assert csvs[0] == csvs[1] == csvs[2]
 
     def test_fewer_trials_than_cpus(self, monkeypatch):
-        plan = parse_plan(PLAN_TEXT)
+        plan = parse_plan(PLAN_TEXT.replace("trials = 4", "trials = 8"))  # 16 tasks
         csvs = []
         for cpus in (1, 32):
             use_cpus(monkeypatch, cpus)
@@ -576,7 +648,7 @@ class TestWorkerPool:
         assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize(
-        "cpus, trials, in_workers", [(2, 8, True), (2, 7, False), (1, 8, False)]
+        "cpus, trials, in_workers", [(2, 16, True), (2, 15, False), (1, 16, False)]
     )
     def test_trials_run_in_worker_processes(self, monkeypatch, tmp_path, cpus, trials, in_workers):
         real_generate = harness.generate_scenario
@@ -593,10 +665,10 @@ class TestWorkerPool:
         )
         run_experiment(plan)
         pids = {int(path.name.split("-")[0]) for path in tmp_path.iterdir()}
-        assert len(list(tmp_path.iterdir())) == 2 * trials
+        assert len(list(tmp_path.iterdir())) == trials  # one realization per (M, trial)
         if in_workers:
             assert os.getpid() not in pids and 1 <= len(pids) <= 2
-        else:  # one CPU, or fewer than eight trials per worker, run in-process
+        else:  # one CPU, or fewer than eight (M, trial) tasks per worker, run in-process
             assert pids == {os.getpid()}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
@@ -607,7 +679,8 @@ class TestWorkerPool:
         real_generate = harness.generate_scenario
 
         def recording_generate(config):
-            (tmp_path / f"{config.seed}").write_text(repr(openblas_thread_counts()))
+            record = tmp_path / f"{os.getpid()}-{config.seed}"
+            record.write_text(repr(openblas_thread_counts()))
             return real_generate(config)
 
         monkeypatch.setattr(harness, "generate_scenario", recording_generate)
@@ -616,36 +689,45 @@ class TestWorkerPool:
         set_openblas_threads([2] * len(parent_counts))
         try:
             assert openblas_thread_counts() == [2] * len(parent_counts)
-            run_experiment(parse_plan(PLAN_TEXT))
+            run_experiment(parse_plan(PLAN_TEXT.replace("trials = 4", "trials = 8")))
         finally:
             set_openblas_threads(parent_counts)
-        assert {path.read_text() for path in tmp_path.iterdir()} == {"[1]"}
+        records = list(tmp_path.iterdir())
+        assert len(records) == 16
+        assert os.getpid() not in {int(path.name.split("-")[0]) for path in records}
+        assert {path.read_text() for path in records} == {"[1]"}
 
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        plan = parse_plan(PLAN_TEXT)
-        failing_seed = trial_seed(plan.base_seed, DETECTOR_NAMES.index("glrt_rr"), 500, 2)
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, tmp_path):
+        plan = parse_plan(PLAN_TEXT.replace("trials = 4", "trials = 8"))  # two workers on 2 CPUs
+        failing_seed = trial_seed(plan.base_seed, None, 500, 2)
         real_generate = harness.generate_scenario
 
         def failing_generate(config):
             if config.seed == failing_seed:
+                (tmp_path / str(os.getpid())).touch()
                 raise InfeasibleOptionsError(f"trial with seed {config.seed} failed")
             return real_generate(config)
 
         monkeypatch.setattr(harness, "generate_scenario", failing_generate)
-        raised = []
+        raised, pids = [], []
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             with pytest.raises(InfeasibleOptionsError) as info:
                 run_experiment(plan)
             raised.append((type(info.value), str(info.value)))
+            pids.append({int(path.name) for path in tmp_path.iterdir()})
+            for path in tmp_path.iterdir():
+                path.unlink()
         assert raised[0] == raised[1] == (
             InfeasibleOptionsError,
             f"trial with seed {failing_seed} failed",
         )
+        assert pids[0] == {os.getpid()} and len(pids[1]) == 1 and os.getpid() not in pids[1]
 
     def test_dead_worker_raises_instead_of_hanging(self):
+        plan_text = PLAN_TEXT.replace("trials = 4", "trials = 8")  # two workers on 2 CPUs
         proc = subprocess.run(
-            [sys.executable, "-c", _DYING_WORKER_SCRIPT, PLAN_TEXT],
+            [sys.executable, "-c", _DYING_WORKER_SCRIPT, plan_text],
             capture_output=True,
             text=True,
             timeout=120,
@@ -681,15 +763,30 @@ class TestCsvOutput:
         assert content[0] == CSV_HEADER
         assert len(content) == 1 + len(rows)
 
-    def test_run_montecarlo_seed_override(self, tmp_path):
+    def test_run_montecarlo_seed_override(self, tmp_path, monkeypatch):
+        seeds = []
+        real_generate = harness.generate_scenario
+
+        def recording_generate(config):
+            seeds.append(config.seed)
+            return real_generate(config)
+
+        monkeypatch.setattr(harness, "generate_scenario", recording_generate)
+        use_cpus(monkeypatch, 1)  # the recorder sees every trial in this process
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text(PLAN_TEXT.replace("trials = 4", "trials = 1"))
         first = run_montecarlo(plan_path, tmp_path / "a.csv", seed=1)
         second = run_montecarlo(plan_path, tmp_path / "b.csv", seed=1)
-        third = run_montecarlo(plan_path, tmp_path / "c.csv", seed=2)
+        run_montecarlo(plan_path, tmp_path / "c.csv", seed=2)
+        run_montecarlo(plan_path, tmp_path / "d.csv")
         assert first == second
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert first != third
+        # the override replaces the plan's seed 11 in every trial's seed; a
+        # run draws its largest M first
+        expected = [
+            trial_seed(base, None, count, 0) for base in (1, 1, 2, 11) for count in (500, 300)
+        ]
+        assert seeds == expected and len(set(expected)) == 6
 
     def test_no_partial_file_on_write_failure(self, tmp_path):
         plan_path = tmp_path / "plan.txt"

@@ -175,8 +175,8 @@ def scenarios(draw):
 
 @st.composite
 def plans(draw):
-    """Valid plans: increasing sample counts, 1-4 distinct detectors, and p_fa
-    values in (0, 1), at least one when a glrt detector is listed."""
+    """Valid plans: increasing sample counts, 1-4 distinct detectors, and
+    distinct p_fa values in (0, 1), at least one when a glrt detector is listed."""
     counts = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True))
     detectors = draw(st.lists(st.sampled_from(DETECTOR_NAMES), min_size=1, max_size=4, unique=True))
     p_fa = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -186,7 +186,7 @@ def plans(draw):
         sample_counts=sorted(counts),
         trials=draw(st.integers(1, 1000)),
         detectors=detectors,
-        p_fa_list=draw(st.lists(p_fa, min_size=1 if glrt else 0, max_size=3)),
+        p_fa_list=draw(st.lists(p_fa, min_size=1 if glrt else 0, max_size=3, unique=True)),
         base_seed=draw(seeds),
         r_max=draw(st.one_of(st.none(), st.integers(1, 100))),
     )
