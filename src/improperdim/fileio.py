@@ -9,6 +9,7 @@ comma-separated lists.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -56,14 +57,37 @@ def write_dataset(path, samples) -> None:
 
 
 def load_dataset(path) -> np.ndarray:
-    """Load a dataset file back into a channels-by-snapshots complex matrix:
-    one ``np.loadtxt`` pass, and the line loop only to name a bad line."""
+    """Load a dataset file back into a channels-by-snapshots complex matrix.
+    A line ends at \\n, \\r\\n or \\r. The header is read by ``readline`` and
+    the rest of the open file by one ``np.loadtxt``, so only numpy's parse
+    buffer and the matrix are held; the line loop re-reads a file it refuses."""
     try:
         with open(path, "r", encoding="ascii") as handle:
-            lines = handle.read().splitlines()
+            match = _HEADER_RE.match(handle.readline().strip())
+            # from the first non-blank line on, so loadtxt never meets an empty input
+            first = next((line for line in handle if line.strip()), None)
+            if match is not None and first is not None:
+                lines = itertools.chain([first], handle)
+                values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+                shape = (int(match.group(2)), 2 * int(match.group(1)))
+                if values.shape == shape and np.isfinite(values).all():
+                    # re/im pairs are complex128's layout; adding 1j * im would turn -0.0 into +0.0
+                    return values.view(np.complex128).T.copy()
+    except ValueError:  # UnicodeDecodeError too: the line loop names it
+        pass
+    return _parse_snapshot_lines(path)
+
+
+def _parse_snapshot_lines(path) -> np.ndarray:
+    """Every check in order, one line at a time: the FormatError naming what
+    is wrong, or the matrix when a token only float() reads (1_0) refused
+    the one pass. Text mode turns \\r\\n and \\r into \\n, the one line rule."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            lines = handle.read().split("\n")
     except UnicodeDecodeError:
         raise FormatError("dataset file is not ASCII text") from None
-    if not lines:
+    if lines == [""]:
         raise FormatError("empty dataset file")
     match = _HEADER_RE.match(lines[0].strip())
     if match is None:
@@ -78,20 +102,7 @@ def load_dataset(path) -> np.ndarray:
     # than the lines can hold fails before the matrix is allocated
     if sum(map(len, body)) < (4 * channels - 1) * count:
         raise FormatError(f"snapshot lines are too short for {2 * channels} fields each")
-    try:
-        values = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (count, 2 * channels) or not np.isfinite(values).all():
-        return _parse_snapshot_lines(body, channels)
-    # re/im pairs are complex128's layout; adding 1j * im would turn -0.0 into +0.0
-    return values.view(np.complex128).T.copy()
-
-
-def _parse_snapshot_lines(body: list[str], channels: int) -> np.ndarray:
-    """One line at a time: the FormatError naming the first bad line, or
-    the matrix when a token only float() reads (1_0) refused the one pass."""
-    data = np.empty((channels, len(body)), dtype=np.complex128)
+    data = np.empty((channels, count), dtype=np.complex128)
     for column, line in enumerate(body):
         fields = line.split()
         if len(fields) != 2 * channels:

@@ -1,6 +1,7 @@
 """Tests for dataset files and scenario config parsing."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,35 @@ class TestDatasetRoundTrip:
         data = load_dataset(path)
         assert data.flags.c_contiguous
         assert data.tobytes() == np.array([[complex(10.0, -0.0), 2 + 3j]]).tobytes()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_endings_read_as_lf(self, tmp_path, newline):
+        data = generate_scenario(small_scenario(snapshot_count=9, seed=5))
+        path = tmp_path / "data.txt"
+        write_dataset(path, data)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert load_dataset(path).tobytes() == data.tobytes()
+
+    def test_form_feed_inside_a_line_is_whitespace(self, tmp_path):
+        # a line ends only at \n, \r\n or \r, where str.splitlines also breaks at \x0c
+        path = tmp_path / "form_feed.txt"
+        path.write_text("improperdim v1 m=2 M=1\n1 2\x0c3 4\n")
+        assert load_dataset(path).tobytes() == np.array([[1 + 2j], [3 + 4j]]).tobytes()
+
+    def test_peak_memory_stays_near_the_matrix(self, tmp_path):
+        # the reader holds numpy's parse buffer and the matrix, not the file text
+        rng = np.random.default_rng(1)
+        data = rng.standard_normal((8, 4000)) + 1j * rng.standard_normal((8, 4000))
+        path = tmp_path / "data.txt"
+        write_dataset(path, data)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, data)
+        assert peak < 3 * loaded.nbytes
 
     def test_single_snapshot(self, tmp_path):
         data = np.array([[1.0 + 2.0j], [3.0 - 4.0j]])

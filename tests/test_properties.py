@@ -75,7 +75,7 @@ finite_doubles = st.one_of(
 )
 # (kind, snapshot line, position, choice): a token 1_0, nan or inf, a
 # ragged line, a blank or whitespace-only line, a \x0b, \x0c, \x1c or \x1f
-# inside a line, or CRLF line endings
+# inside a line, or CRLF or lone CR line endings
 SPOILERS = (
     ["1_0", "nan", "inf", "-Infinity"],
     None,
@@ -87,7 +87,7 @@ SPOILERS = (
 @st.composite
 def reader_cases(draw):
     """Finite doubles for 1-4 channels and 1-6 snapshots, a text style and
-    up to two spoilers (kind 4: CRLF line endings)."""
+    up to two spoilers (kind 4: CRLF or lone CR line endings)."""
     channels, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     values = draw(hnp.arrays(np.float64, (count, 2 * channels), elements=finite_doubles))
     style = draw(st.sampled_from(["write_dataset", "%r", "%.3e"]))
@@ -121,7 +121,7 @@ def _render(case, path):
             at %= len(lines[row]) + 1
             fields = [lines[row][:at] + SPOILERS[3][choice] + lines[row][at:]]
         else:
-            newline = "\r\n"
+            newline = "\r" if choice % 2 else "\r\n"
         lines[row] = " ".join(fields)
     return newline.join(lines) + newline
 
@@ -140,6 +140,14 @@ def _read(path):
 @example(case="improperdim v1 m=1 M=2\n1_0 2\n3 4\n")  # only float() reads 1_0
 @example(case="improperdim v1 m=1 M=3\n1 2\n3 4\nnan 5\n")
 @example(case="improperdim v1 m=1 M=1\n1 2 3\n")  # one field too many
+# a line ends only at \n, \r\n or \r: these four are whitespace inside it
+@example(case="improperdim v1 m=2 M=1\n1 2\x0b3 4\n")
+@example(case="improperdim v1 m=2 M=1\n1 2\x0c3 4\n")
+@example(case="improperdim v1 m=2 M=1\n1 2\x1c3 4\n")
+@example(case="improperdim v1 m=2 M=1\n1 2\x1f3 4\n")
+@example(case="improperdim v1 m=1 M=2\r1 2\r3 4\r")  # lone CR endings
+@example(case="improperdim v1 m=1 M=2\n")  # the header alone
+@example(case="improperdim v1 m=1 M=2\n\n \n\t\n")  # the header and blank lines
 def test_reader_agrees_with_the_line_loop(dataset_path, case):
     text = case if isinstance(case, str) else _render(case, dataset_path)
     dataset_path.write_text(text, newline="")
