@@ -32,7 +32,7 @@ from .fileio import (
     write_dataset,
 )
 from .simulate import ScenarioConfig, generate_scenario
-from .stats import _principal_spectra, _unit_scaled, as_data_matrix, sample_covariances
+from .stats import _covariance_pair, _principal_spectra, as_data_matrix
 
 __all__ = [
     "CSV_HEADER",
@@ -137,7 +137,7 @@ def _decide(data, detectors, r_max, p_fas, box_df: str) -> dict:
     scans = [_DETECTORS[name].reduced for name in detectors]
     rank_cap = _resolved_r_max(r_max, channels, count) if any(scans) else 0
     full = [] if all(scans) or rank_cap == channels else [channels]
-    pair = sample_covariances(_unit_scaled(data))
+    pair = _covariance_pair(data, unit=True)
     spectra = _principal_spectra(pair, [*range(1, rank_cap + 1), *full])
     options = {"r_max": rank_cap, "count": count, "rule": box_df}
     outcomes = {}

@@ -35,6 +35,10 @@ __all__ = [
 # model of every steering matrix, scenario and population covariance
 DEFAULT_PHASE_FACTOR = 0.5 * math.pi
 
+# snapshots per block of the products applied in place to a realization,
+# whose temporaries are then a quarter of a 1000-snapshot matrix
+_PRODUCT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -177,19 +181,33 @@ def ar_spatial_covariance(coefficients, innovation_variance: float, size: int) -
 
 @lru_cache(maxsize=8)
 def _ar_root(ar_coefficients: tuple[float, ...], sensor_count: int) -> np.ndarray:
-    # read-only symmetric root of the unit-innovation stationary covariance
+    # read-only symmetric root of the unit-innovation stationary covariance,
+    # held complex so the noise product casts nothing
     unit_cov = ar_spatial_covariance(ar_coefficients, 1.0, sensor_count)
     values, vectors = np.linalg.eigh(unit_cov)
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    root = ((vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T).astype(np.complex128)
     root.flags.writeable = False
     return root
+
+
+def _column_blocks(count: int) -> list[slice]:
+    """Slices of ``_PRODUCT_BLOCK`` snapshots covering ``count``, the last one
+    taking the rest. A lone last snapshot joins the block before it: a product
+    with one column takes BLAS's matrix-vector route, which rounds differently
+    from the matrix product over all columns, while blocks of two or more
+    columns gave that product's bits wherever checked."""
+    stops = [*range(_PRODUCT_BLOCK, count - 1, _PRODUCT_BLOCK), count]
+    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
 
 
 def generate_noise(
     spec: NoiseSpec, sensor_count: int, snapshot_count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Proper Gaussian noise, one column per snapshot; it draws exactly
-    2 * sensor_count * snapshot_count normals from ``rng``.
+    2 * sensor_count * snapshot_count normals from ``rng``: the first
+    sensor_count x snapshot_count go into the real parts of the returned
+    array, the next into its imaginary parts, and the AR root and the
+    scale are applied in place.
 
     The "spatial_ar" kind applies the symmetric root of the stationary
     covariance of n[p] = w[p] - sum_j a_j n[p-j] (unit innovation
@@ -200,11 +218,17 @@ def generate_noise(
     cache of read-only roots) rather than once per call.
     """
     shape = (sensor_count, snapshot_count)
-    scale = math.sqrt(0.5 * spec.variance)
-    white = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if spec.kind == "white":
-        return scale * white
-    return scale * (_ar_root(spec.ar_coefficients, sensor_count) @ white)
+    noise = np.empty(shape, dtype=np.complex128)
+    parts = noise.view(np.float64)
+    parts[:, 0::2] = rng.standard_normal(shape)
+    parts[:, 1::2] = rng.standard_normal(shape)
+    if spec.kind == "spatial_ar":
+        # a complex product: one real product of ``parts`` rounds differently
+        root = _ar_root(spec.ar_coefficients, sensor_count)
+        for block in _column_blocks(snapshot_count):
+            noise[:, block] = root @ noise[:, block]
+    noise *= math.sqrt(0.5 * spec.variance)
+    return noise
 
 
 def generate_scenario(config: ScenarioConfig) -> np.ndarray:
@@ -215,11 +239,12 @@ def generate_scenario(config: ScenarioConfig) -> np.ndarray:
     """
     rng = np.random.default_rng(config.seed)
     sources = generate_sources(config.sources, config.snapshot_count, rng)
-    noise = generate_noise(config.noise, config.sensor_count, config.snapshot_count, rng)
+    data = generate_noise(config.noise, config.sensor_count, config.snapshot_count, rng)
     if config.sources:
         mixing = steering_matrix(config.angles_deg, config.sensor_count)
-        return mixing @ sources + noise
-    return noise
+        for block in _column_blocks(config.snapshot_count):
+            data[:, block] += mixing @ sources[:, block]
+    return data
 
 
 def population_covariances(config: ScenarioConfig) -> CovariancePair:

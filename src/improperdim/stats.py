@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _structured, _symmetric_part, _unit_exponent, _unit_phase, _unit_scaled
+from .numerics import (
+    _largest_part,
+    _structured,
+    _symmetric_part,
+    _unit_exponent,
+    _unit_phase,
+    _unit_scaled,
+)
 
 __all__ = [
     "CircularitySpectrum",
@@ -29,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_RCOND = 1e-12
+
+# snapshots per block of the real Gram behind every sample covariance pair
+_GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ def as_data_matrix(samples) -> np.ndarray:
         raise ValueError("data matrix must be 2-D (channels x snapshots)")
     if data.shape[0] < 1 or data.shape[1] < 1:
         raise ValueError("data matrix needs at least one channel and one snapshot")
-    if not np.all(np.isfinite(data.real)) or not np.all(np.isfinite(data.imag)):
+    if not np.isfinite(_largest_part(data)):
         raise ValueError("data matrix contains non-finite entries")
     return data
 
@@ -80,10 +90,35 @@ def sample_covariances(samples) -> CovariancePair:
     re-Hermitized and the complementary re-symmetrized so the pair
     satisfies its structure exactly, not just to rounding.
     """
-    data = as_data_matrix(samples)
-    count = data.shape[1]
-    covariance = _symmetric_part(data @ data.conj().T / count, hermitian=True)
-    complementary = _symmetric_part(data @ data.T / count)
+    return _covariance_pair(as_data_matrix(samples))
+
+
+def _covariance_pair(data: np.ndarray, unit: bool = False) -> CovariancePair:
+    """The pair of a checked data matrix times 2**k: k = 0, or with ``unit``
+    the k that puts its largest real or imaginary part in [0.5, 1), which
+    keeps the pair finite across the double range and bit-identical under
+    power-of-two scaling.
+
+    One real Gram G = sum_b X_b X_b^T over blocks X_b = 2**k [Re; Im] of
+    ``_GRAM_BLOCK`` snapshots gives both: with G's m x m blocks G11, G12,
+    G21 and G22, the covariance is (G11 + G22 + i(G21 - G12)) / M and the
+    complementary (G11 - G22 + i(G12 + G21)) / M. Each block is copied and
+    scaled by one ldexp, so the pair needs one block beside the data, for
+    any strides.
+    """
+    channels, count = data.shape
+    exponent = _unit_exponent(data) if unit else 0
+    gram = np.zeros((2 * channels, 2 * channels))
+    block = np.empty((2 * channels, min(count, _GRAM_BLOCK)))
+    for start in range(0, count, _GRAM_BLOCK):
+        chunk = data[:, start : start + _GRAM_BLOCK]
+        stacked = block[:, : chunk.shape[1]]
+        np.ldexp(chunk.real, exponent, out=stacked[:channels])
+        np.ldexp(chunk.imag, exponent, out=stacked[channels:])
+        gram += stacked @ stacked.T
+    (g11, g12), (g21, g22) = (np.hsplit(half, 2) for half in np.vsplit(gram, 2))
+    covariance = _symmetric_part((g11 + g22 + 1j * (g21 - g12)) / count, hermitian=True)
+    complementary = _symmetric_part((g11 - g22 + 1j * (g12 + g21)) / count)
     return CovariancePair(covariance, complementary, count)
 
 
@@ -120,7 +155,7 @@ def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.n
     # eigh rescales far from unit scale by a factor that is not a power of two;
     # 4**k times the matrix, largest part in [0.25, 1), has 2**-k times its roots
     vectors, inv_roots = _whitening(_unit_scaled(checked, even=True), rcond)
-    inv_roots = np.ldexp(inv_roots, _unit_exponent(checked.view(np.float64), even=True) // 2)
+    inv_roots = np.ldexp(inv_roots, _unit_exponent(checked, even=True) // 2)
     return _symmetric_part((vectors * inv_roots) @ vectors.conj().T, hermitian=True)
 
 
@@ -186,13 +221,13 @@ def circularity_profile(samples, r_max: int) -> list[CircularitySpectrum]:
     Equivalent to pca_reduce -> sample_covariances ->
     circularity_coefficients at every rank, from the engine that ``detect``
     uses: in the principal basis the rank-r covariance is diagonal, so the
-    sweep costs one eigendecomposition plus r_max small SVDs. The data are
-    first scaled by an exact power of two, as ``detect`` scales them, so the
-    profile is the same across the double range and bit-identical under
-    power-of-two scaling.
+    sweep costs one eigendecomposition plus r_max small SVDs. The pair is
+    that of the data scaled by an exact power of two, as ``detect`` scales
+    them, so the profile is the same across the double range and
+    bit-identical under power-of-two scaling.
     """
     data = as_data_matrix(samples)
     channels, count = data.shape
     if not 1 <= r_max <= min(channels, count):
         raise ValueError("r_max must lie in 1..min(channels, snapshots)")
-    return _principal_spectra(sample_covariances(_unit_scaled(data)), range(1, r_max + 1))
+    return _principal_spectra(_covariance_pair(data, unit=True), range(1, r_max + 1))

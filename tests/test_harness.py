@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -182,12 +183,41 @@ class TestScaleRobustDetection:
             assert_same_result(detect(scaled, detector), reference)
 
     @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    def test_layout_and_power_of_two_scale_give_the_contiguous_bits(self, detector):
+        # 9000 snapshots: the covariance pair sums two full blocks and a part
+        data = generate_scenario(small_scenario(snapshot_count=9000, seed=14))
+        reference = detect(data, detector)
+        assert_same_result(detect(np.asfortranarray(data), detector), reference)
+        assert_same_result(detect(2.0**600 * data, detector), reference)
+        assert_same_result(detect(2.0**-600 * data, detector), reference)
+        strided = data[:, ::2]
+        assert_same_result(detect(strided, detector), detect(strided.copy(), detector))
+
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
     def test_extreme_scales_keep_the_estimate(self, detector):
         data = generate_scenario(small_scenario(snapshot_count=300, seed=13))
         reference = detect(data, detector).estimate
         assert reference == 2
         for scale in (1e-170, 1e160):
             assert detect(scale * data, detector).estimate == reference
+
+
+class TestDetectMemory:
+    def test_peak_is_one_scaled_block_beyond_the_matrix(self):
+        # the pair reads the data through one block of 2m x 4096 doubles at a
+        # time: no scaled or conjugated copy of the whole matrix
+        channels, count = 60, 20_000
+        rng = np.random.default_rng(15)
+        data = rng.standard_normal((channels, count)) + 1j * rng.standard_normal((channels, count))
+        tracemalloc.start()
+        try:
+            result = detect(data, "glrt_rr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.estimate == 0
+        block = 2 * channels * 4096 * 8
+        assert peak <= block + 32 * channels**2 * 16
 
 
 class TestRunDetection:

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,51 @@ class TestGenerateNoise:
         for offset in range(4):
             expected = expected_gamma0 * 0.5**offset
             assert model[0, offset] == pytest.approx(expected, rel=1e-12)
+
+
+class TestRealizationStream:
+    """The in-place draws and blocked products give the bits of the plain
+    expressions. Products run over blocks of 256 snapshots; 257 and 513
+    end in a block of 257, 258 in a block of two."""
+
+    @pytest.mark.parametrize(
+        "spec", [NoiseSpec("white", 2.0), NoiseSpec("spatial_ar", 0.25, AR_COEFFICIENTS)]
+    )
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 300), (12, 7), (12, 257), (5, 258), (12, 513), (60, 1000)]
+    )
+    def test_noise_is_the_scaled_complex_product(self, spec, shape):
+        noise = generate_noise(spec, *shape, np.random.default_rng(16))
+        twin = np.random.default_rng(16)
+        white = twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
+        if spec.kind == "spatial_ar":
+            white = _ar_root(spec.ar_coefficients, shape[0]) @ white
+        expected = math.sqrt(0.5 * spec.variance) * white
+        assert noise.dtype == expected.dtype and noise.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["white", "spatial_ar"])
+    @pytest.mark.parametrize("count", [200, 258, 513])
+    def test_scenario_is_steering_times_sources_plus_noise(self, kind, count):
+        config = array_scenario(kind, snapshot_count=count, seed=17)
+        rng = np.random.default_rng(config.seed)
+        sources = generate_sources(config.sources, config.snapshot_count, rng)
+        noise = generate_noise(config.noise, config.sensor_count, config.snapshot_count, rng)
+        expected = steering_matrix(config.angles_deg, config.sensor_count) @ sources + noise
+        assert generate_scenario(config).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["white", "spatial_ar"])
+    def test_peak_memory_stays_near_the_output(self, kind):
+        # the output, one matrix of normals at a time (half the output), the
+        # sources and one block of a product
+        config = array_scenario(kind, snapshot_count=1000, seed=18)
+        generate_scenario(config)  # the AR root is cached per process
+        tracemalloc.start()
+        try:
+            data = generate_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * data.nbytes
 
 
 class TestNoiseSpecValidation:

@@ -53,6 +53,37 @@ class TestSampleCovariances:
         assert np.array_equal(pair.complementary, pair.complementary.T)
         assert np.min(np.linalg.eigvalsh(pair.covariance)) >= -1e-10
 
+    # one snapshot, the block size (4096) and its neighbours, and two blocks and a part
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 9000])
+    def test_blocked_gram_matches_the_complex_products(self, count):
+        rng = np.random.default_rng(count)
+        real = rng.standard_normal((6, count))
+        data = real + 1j * (0.5 * real + rng.standard_normal((6, count)))  # improper
+        pair = sample_covariances(data)
+        for mine, product in (
+            (pair.covariance, data @ data.conj().T),
+            (pair.complementary, data @ data.T),
+        ):
+            reference = product / count
+            assert np.abs(mine - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert np.array_equal(pair.covariance, pair.covariance.conj().T)
+        assert np.array_equal(pair.complementary, pair.complementary.T)
+        assert pair.sample_count == count
+
+    def test_layout_does_not_change_the_bits(self):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((5, 9000)) + 1j * rng.standard_normal((5, 9000))
+        for view, copy in (
+            (np.asfortranarray(data), data),
+            (data[:, ::2], np.ascontiguousarray(data[:, ::2])),
+            (data[::-1, 1::3], np.ascontiguousarray(data[::-1, 1::3])),
+        ):
+            mine, theirs = sample_covariances(view), sample_covariances(copy)
+            assert mine.covariance.tobytes() == theirs.covariance.tobytes()
+            assert mine.complementary.tobytes() == theirs.complementary.tobytes()
+            for entry, expected in zip(circularity_profile(view, 4), circularity_profile(copy, 4)):
+                assert entry.coefficients.tobytes() == expected.coefficients.tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             sample_covariances(np.array([1.0, 2.0]))
