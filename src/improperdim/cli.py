@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .detectors import DF_RULES
-from .fileio import FormatError, load_dataset, parse_float, parse_int
+from .fileio import FormatError, load_dataset, parse_number
 from .harness import (
     DETECTOR_NAMES,
     InfeasibleOptionsError,
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    seed = None if args.seed is None else parse_int("--seed", args.seed)
+    seed = None if args.seed is None else parse_number("--seed", args.seed, int)
     config = dump_scenario(args.config, args.output, seed=seed)
     print(
         f"wrote {args.output}: m={config.sensor_count}, M={config.snapshot_count}, "
@@ -69,8 +69,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_detect(args) -> int:
     detector = args.detector.replace("-", "_")
-    p_fa = parse_float("--pfa", args.pfa)
-    r_max = None if args.rmax is None else parse_int("--rmax", args.rmax)
+    p_fa = parse_number("--pfa", args.pfa, float)
+    r_max = None if args.rmax is None else parse_number("--rmax", args.rmax, int)
     data = load_dataset(args.dataset)
     result = detect(data, detector, p_fa=p_fa, r_max=r_max, box_df=args.box_df)
     print(format_detection_report(result, detector, *data.shape, p_fa=p_fa))
@@ -78,7 +78,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    seed = None if args.seed is None else parse_int("--seed", args.seed)
+    seed = None if args.seed is None else parse_number("--seed", args.seed, int)
     rows = run_montecarlo(args.plan, args.output, box_df=args.box_df, seed=seed)
     print(f"wrote {args.output}: {len(rows)} rows")
     return 0

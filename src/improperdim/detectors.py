@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _chi2_inverse
+from .numerics import _chi2_inverse, _whole
 from .stats import CircularitySpectrum
 
 __all__ = [
@@ -172,6 +172,24 @@ def mdl_itc_full(spectrum: CircularitySpectrum) -> DetectionResult:
     return DetectionResult(estimate=int(winners[0]), scores=scores[0])
 
 
+def _checked_profile(profile, r_max, sample_count=None) -> tuple[list, int, int]:
+    """The rank-1..``r_max`` spectra of a profile, ``r_max`` as an int and their one
+    sample count (``sample_count`` when given): the reduced detectors' one input check."""
+    r_max = _whole("r_max", r_max)
+    if not 1 <= r_max <= len(profile):
+        raise ValueError("r_max must lie in 1..len(profile)")
+    spectra = list(profile[:r_max])
+    if [spectrum.rank_context for spectrum in spectra] != list(range(1, r_max + 1)):
+        raise ValueError("profile[r-1] must be the rank-r spectrum for r = 1..r_max")
+    counts = {spectrum.sample_count for spectrum in spectra}
+    if len(counts) != 1:
+        raise ValueError(f"the profile's spectra differ in sample count: {sorted(counts)}")
+    count = counts.pop()
+    if sample_count is not None and sample_count != count:
+        raise ValueError(f"sample_count={sample_count} differs from the profile's M={count}")
+    return spectra, r_max, count
+
+
 def mdl_itc_reduced(
     profile: Sequence[CircularitySpectrum], r_max: int, sample_count: int
 ) -> ItcDiagnostics:
@@ -179,11 +197,11 @@ def mdl_itc_reduced(
 
     For each rank r = 1..r_max the criterion is minimized over d = 0..r-1
     (ties toward smaller d); the estimate is the maximum over ranks and
-    the selected rank the smallest one attaining it.
+    the selected rank the smallest one attaining it. ``profile[r-1]`` must
+    be the rank-r spectrum, each of ``sample_count`` snapshots.
     """
-    if not 1 <= r_max <= len(profile):
-        raise ValueError("r_max must lie in 1..len(profile)")
-    scores, winners = _mdl_table(profile[:r_max], np.arange(1, r_max + 1), sample_count)
+    spectra, r_max, sample_count = _checked_profile(profile, r_max, sample_count)
+    scores, winners = _mdl_table(spectra, np.arange(1, r_max + 1), sample_count)
     estimate = int(winners.max())
     selected_rank = int(np.argmax(winners == estimate)) + 1
     return ItcDiagnostics(scores, winners, selected_rank, estimate)
@@ -298,13 +316,12 @@ def glrt_reduced(
     has 0 d.f. and threshold 0, so it always rejects, stops at 1, and the
     estimate is never 0.
     """
-    if not 1 <= r_max <= len(profile):
-        raise ValueError("r_max must lie in 1..len(profile)")
-    if r_max >= profile[0].sample_count:
+    spectra, r_max, count = _checked_profile(profile, r_max)
+    if r_max >= count:
         raise ValueError("r_max must be smaller than the sample count")
     ranks = np.arange(1, r_max + 1)
-    multipliers = np.array([spectrum.sample_count for spectrum in profile[:r_max]], float) - ranks
-    statistics, thresholds, stops = _test_table(profile[:r_max], ranks, multipliers, df_rule, p_fa)
+    multipliers = (count - ranks).astype(float)
+    statistics, thresholds, stops = _test_table(spectra, ranks, multipliers, df_rule, p_fa)
     estimate = int(stops.max())
     selected_rank = int(np.argmax(stops == estimate)) + 1
     return GlrtDiagnostics(statistics, thresholds, float(p_fa), stops, selected_rank, estimate)

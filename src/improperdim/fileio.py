@@ -42,25 +42,21 @@ _SCENARIO_KEYS = frozenset(
 
 
 def write_dataset(path, samples) -> None:
-    """Write a data matrix to ``path`` in the dataset text format."""
+    """Write a data matrix to ``path`` in the dataset text format: one ``np.savetxt``
+    of its snapshot-major float view, for a loaded matrix its parse buffer uncopied."""
     data = as_data_matrix(samples)
     channels, count = data.shape
-    interleaved = np.empty((count, 2 * channels))
-    interleaved[:, 0::2] = data.real.T
-    interleaved[:, 1::2] = data.imag.T
-    # %-formatting shares format()'s float repr, so whole rows format as one
-    template = " ".join(["%.17g"] * (2 * channels)) + "\n"
+    rows = np.ascontiguousarray(data.T).view(np.float64)
+    header = f"improperdim v1 m={channels} M={count}"
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(f"improperdim v1 m={channels} M={count}\n")
-        for row in interleaved:
-            handle.write(template % tuple(row))
+        np.savetxt(handle, rows, fmt="%.17g", header=header, comments="")
 
 
 def load_dataset(path) -> np.ndarray:
-    """Load a dataset file back into a channels-by-snapshots complex matrix.
-    A line ends at \\n, \\r\\n or \\r. The header is read by ``readline`` and
-    the rest of the open file by one ``np.loadtxt``, so only numpy's parse
-    buffer and the matrix are held; the line loop re-reads a file it refuses."""
+    """Load a dataset file back into a channels-by-snapshots complex matrix, the
+    uncopied transposed view of the (M, 2m) buffer ``np.loadtxt`` parses the
+    lines after the ``readline`` header into. A line ends at \\n, \\r\\n or
+    \\r; the line loop re-reads a file the one pass refuses."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             match = _HEADER_RE.match(handle.readline().strip())
@@ -72,7 +68,7 @@ def load_dataset(path) -> np.ndarray:
                 shape = (int(match.group(2)), 2 * int(match.group(1)))
                 if values.shape == shape and np.isfinite(values).all():
                     # re/im pairs are complex128's layout; adding 1j * im would turn -0.0 into +0.0
-                    return values.view(np.complex128).T.copy()
+                    return values.view(np.complex128).T
     except ValueError:  # UnicodeDecodeError too: the line loop names it
         pass
     return _parse_snapshot_lines(path)
@@ -80,8 +76,8 @@ def load_dataset(path) -> np.ndarray:
 
 def _parse_snapshot_lines(path) -> np.ndarray:
     """Every check in order, one line at a time: the FormatError naming what
-    is wrong, or the matrix when a token only float() reads (1_0) refused
-    the one pass. Text mode turns \\r\\n and \\r into \\n, the one line rule."""
+    is wrong, or the matrix in the same layout when a token only float() reads
+    (1_0) refused the one pass. Text mode turns \\r\\n and \\r into \\n."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             lines = handle.read().split("\n")
@@ -102,22 +98,20 @@ def _parse_snapshot_lines(path) -> np.ndarray:
     # than the lines can hold fails before the matrix is allocated
     if sum(map(len, body)) < (4 * channels - 1) * count:
         raise FormatError(f"snapshot lines are too short for {2 * channels} fields each")
-    data = np.empty((channels, count), dtype=np.complex128)
-    for column, line in enumerate(body):
+    values = np.empty((count, 2 * channels))
+    for row, line in enumerate(body):
         fields = line.split()
         if len(fields) != 2 * channels:
             raise FormatError(
-                f"snapshot line {column + 1}: expected {2 * channels} fields, "
-                f"found {len(fields)}"
+                f"snapshot line {row + 1}: expected {2 * channels} fields, found {len(fields)}"
             )
         try:
-            values = np.array([float(token) for token in fields])
+            values[row] = [float(token) for token in fields]
         except ValueError:
-            raise FormatError(f"snapshot line {column + 1}: non-numeric field") from None
-        if not np.all(np.isfinite(values)):
-            raise FormatError(f"snapshot line {column + 1}: non-finite value")
-        data[:, column] = values.view(np.complex128)
-    return data
+            raise FormatError(f"snapshot line {row + 1}: non-numeric field") from None
+        if not np.isfinite(values[row]).all():
+            raise FormatError(f"snapshot line {row + 1}: non-finite value")
+    return values.view(np.complex128).T
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -143,36 +137,24 @@ def require_key(entries: dict[str, str], key: str) -> str:
     return entries[key]
 
 
-def parse_int(key: str, text: str) -> int:
+def parse_number(key: str, text: str, kind: type) -> int | float:
+    """``text`` as ``kind`` (int or float); FormatError naming ``key`` otherwise."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise FormatError(f"key '{key}': expected an integer, got '{text}'") from None
+        expected = "an integer" if kind is int else "a number"
+        raise FormatError(f"key '{key}': expected {expected}, got '{text}'") from None
 
 
-def parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FormatError(f"key '{key}': expected a number, got '{text}'") from None
-
-
-def parse_float_list(key: str, text: str) -> tuple[float, ...]:
+def parse_numbers(key: str, text: str, kind: type) -> tuple:
+    """Comma-separated ``kind`` values, () for a blank ``text``; an empty token is refused."""
     if not text.strip():
         return ()
     try:
-        return tuple(float(token.strip()) for token in text.split(","))
+        return tuple(kind(token.strip()) for token in text.split(","))
     except ValueError:
-        raise FormatError(f"key '{key}': expected comma-separated numbers, got '{text}'") from None
-
-
-def parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    try:
-        return tuple(int(token.strip()) for token in text.split(","))
-    except ValueError:
-        raise FormatError(f"key '{key}': expected comma-separated integers, got '{text}'") from None
+        expected = f"comma-separated {'integers' if kind is int else 'numbers'}"
+        raise FormatError(f"key '{key}': expected {expected}, got '{text}'") from None
 
 
 def parse_name_list(key: str, text: str) -> tuple[str, ...]:
@@ -186,20 +168,20 @@ def scenario_config(entries: dict[str, str], other_keys, snapshot_count: int) ->
     unknown = set(entries) - _SCENARIO_KEYS - set(other_keys)
     if unknown:
         raise FormatError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    sensor_count = parse_int("m", require_key(entries, "m"))
-    angles = parse_float_list("angles_deg", entries.get("angles_deg", ""))
-    variances = parse_float_list("source_variances", entries.get("source_variances", ""))
-    circularities = parse_float_list(
-        "source_circularities", entries.get("source_circularities", "")
+    sensor_count = parse_number("m", require_key(entries, "m"), int)
+    angles = parse_numbers("angles_deg", entries.get("angles_deg", ""), float)
+    variances = parse_numbers("source_variances", entries.get("source_variances", ""), float)
+    circularities = parse_numbers(
+        "source_circularities", entries.get("source_circularities", ""), float
     )
     if len(variances) != len(angles) or len(circularities) != len(angles):
         raise FormatError(
             "angles_deg, source_variances and source_circularities must have equal lengths"
         )
     kind = require_key(entries, "noise_kind")
-    variance = parse_float("noise_variance", require_key(entries, "noise_variance"))
-    ar_coefficients = parse_float_list("ar_coefficients", entries.get("ar_coefficients", ""))
-    seed = parse_int("seed", require_key(entries, "seed"))
+    variance = parse_number("noise_variance", require_key(entries, "noise_variance"), float)
+    ar_coefficients = parse_numbers("ar_coefficients", entries.get("ar_coefficients", ""), float)
+    seed = parse_number("seed", require_key(entries, "seed"), int)
     try:
         noise = NoiseSpec(kind=kind, variance=variance, ar_coefficients=ar_coefficients)
         sources = tuple(SourceSpec(v, c) for v, c in zip(variances, circularities))
@@ -211,7 +193,7 @@ def scenario_config(entries: dict[str, str], other_keys, snapshot_count: int) ->
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Parse scenario config text into a ScenarioConfig."""
     entries = parse_key_values(text)
-    return scenario_config(entries, {"M"}, parse_int("M", require_key(entries, "M")))
+    return scenario_config(entries, {"M"}, parse_number("M", require_key(entries, "M"), int))
 
 
 def format_scenario_fields(config: ScenarioConfig) -> list[str]:

@@ -22,15 +22,15 @@ from .fileio import (
     format_scenario_fields,
     load_dataset,
     load_scenario_config,
-    parse_float_list,
-    parse_int,
-    parse_int_list,
     parse_key_values,
     parse_name_list,
+    parse_number,
+    parse_numbers,
     require_key,
     scenario_config,
     write_dataset,
 )
+from .numerics import _whole
 from .simulate import ScenarioConfig, generate_scenario
 from .stats import _covariance_pair, _principal_spectra, as_data_matrix
 
@@ -83,16 +83,6 @@ def default_r_max(sensor_count: int, snapshot_count: int) -> int:
     """Default maximum PCA rank: floor(M/3), capped at the channel count
     and at M - 1."""
     return min(snapshot_count // 3, sensor_count, snapshot_count - 1)
-
-
-def _whole(name: str, value, least: int | None = None) -> int:
-    """``value`` as an int; ValueError for a bool, a non-integral value or one below ``least``."""
-    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
-    if isinstance(value, (bool, np.bool_)) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and int(value) < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return int(value)
 
 
 def _resolved_r_max(r_max: int | None, channels: int, count: int) -> int:
@@ -275,11 +265,11 @@ def parse_plan(text: str) -> ExperimentPlan:
     """
     entries = parse_key_values(text)
     scenario = scenario_config(entries, _PLAN_ONLY_KEYS, 1)  # ExperimentPlan sets M
-    sample_counts = parse_int_list("sample_counts", require_key(entries, "sample_counts"))
-    trials = parse_int("trials", require_key(entries, "trials"))
+    sample_counts = parse_numbers("sample_counts", require_key(entries, "sample_counts"), int)
+    trials = parse_number("trials", require_key(entries, "trials"), int)
     detectors = parse_name_list("detectors", require_key(entries, "detectors"))
-    p_fa_list = parse_float_list("pfa_list", entries.get("pfa_list", ""))
-    r_max = parse_int("r_max", entries["r_max"]) if "r_max" in entries else None
+    p_fa_list = parse_numbers("pfa_list", entries.get("pfa_list", ""), float)
+    r_max = parse_number("r_max", entries["r_max"], int) if "r_max" in entries else None
     try:
         return ExperimentPlan(
             scenario, sample_counts, trials, detectors, p_fa_list, scenario.seed, r_max

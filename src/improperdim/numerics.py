@@ -168,30 +168,39 @@ def _symmetric_part(matrix: np.ndarray, hermitian: bool = False) -> np.ndarray:
     return 0.5 * matrix + 0.5 * other
 
 
+def _whole(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ValueError for a bool, a non-integral value or one below ``least``."""
+    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
+
+
 def _largest_part(matrix: np.ndarray) -> float:
     """The largest |real or imaginary part| of a complex ``matrix``, nan or inf
     when a part is: read from the extremes of its parts, without a copy, for
-    any strides (a C-contiguous matrix as one float view, which numpy
+    any strides (a C- or F-contiguous matrix as one float view, which numpy
     reduces several times faster than its strided parts)."""
-    if matrix.flags.c_contiguous:
-        parts = (matrix.view(np.float64),)
+    if matrix.flags.forc:
+        parts = (matrix.ravel(order="K").view(np.float64),)
     else:
         parts = (matrix.real, matrix.imag)
     return np.abs([extreme(part) for part in parts for extreme in (np.max, np.min)]).max()
 
 
-def _unit_exponent(matrix: np.ndarray, even: bool = False) -> int:
-    """The k (even when ``even``) that puts the largest real or imaginary part
-    of 2**k ``matrix`` (complex) in [0.5, 1) ([0.25, 1))."""
+def _unit_exponent(matrix: np.ndarray) -> int:
+    """The even k that puts the largest real or imaginary part of 2**k ``matrix``
+    (complex) in [0.25, 1): an even power keeps square roots exact too."""
     exponent = np.frexp(_largest_part(matrix))[1]
-    return -exponent - (exponent % 2 if even else 0)
+    return -exponent - exponent % 2
 
 
-def _unit_scaled(matrix: np.ndarray, even: bool = False) -> np.ndarray:
-    """``matrix`` times the power of two (an even one when ``even``) that
-    puts its largest real or imaginary part in [0.5, 1) (in [0.25, 1)); exact."""
+def _unit_scaled(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` times 2**``_unit_exponent(matrix)``; exact."""
     matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
-    return np.ldexp(matrix.view(np.float64), _unit_exponent(matrix, even)).view(np.complex128)
+    return np.ldexp(matrix.view(np.float64), _unit_exponent(matrix)).view(np.complex128)
 
 
 def _structured(matrix, hermitian: bool, name: str) -> np.ndarray:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .numerics import _whole
 from .stats import CovariancePair
 
 __all__ = [
@@ -104,10 +105,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "angles_deg", tuple(float(a) for a in self.angles_deg))
         object.__setattr__(self, "sources", tuple(self.sources))
-        if self.sensor_count < 1:
-            raise ValueError("sensor_count must be at least 1")
-        if self.snapshot_count < 1:
-            raise ValueError("snapshot_count must be at least 1")
+        for name, least in (("sensor_count", 1), ("snapshot_count", 1), ("seed", None)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), least))
         if len(self.angles_deg) != len(self.sources):
             raise ValueError("need one arrival angle per source")
         if len(self.sources) >= self.sensor_count:
@@ -127,8 +126,7 @@ def steering_matrix(angles_deg, sensor_count: int) -> np.ndarray:
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if angles.size == 0:
         raise ValueError("at least one arrival angle is required")
-    if sensor_count < 1:
-        raise ValueError("sensor_count must be at least 1")
+    sensor_count = _whole("sensor_count", sensor_count, 1)
     if not np.all((angles >= 0.0) & (angles <= 180.0)):
         raise ValueError("arrival angles must lie in [0, 180] degrees")
     phases = DEFAULT_PHASE_FACTOR * np.cos(np.deg2rad(angles))

@@ -20,6 +20,7 @@ from .numerics import (
     _unit_exponent,
     _unit_phase,
     _unit_scaled,
+    _whole,
 )
 
 __all__ = [
@@ -95,7 +96,7 @@ def sample_covariances(samples) -> CovariancePair:
 
 def _covariance_pair(data: np.ndarray, unit: bool = False) -> CovariancePair:
     """The pair of a checked data matrix times 2**k: k = 0, or with ``unit``
-    the k that puts its largest real or imaginary part in [0.5, 1), which
+    the even k that puts its largest real or imaginary part in [0.25, 1), which
     keeps the pair finite across the double range and bit-identical under
     power-of-two scaling.
 
@@ -154,8 +155,8 @@ def hermitian_inv_sqrt(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.n
     checked = _structured(matrix, True, "matrix")
     # eigh rescales far from unit scale by a factor that is not a power of two;
     # 4**k times the matrix, largest part in [0.25, 1), has 2**-k times its roots
-    vectors, inv_roots = _whitening(_unit_scaled(checked, even=True), rcond)
-    inv_roots = np.ldexp(inv_roots, _unit_exponent(checked, even=True) // 2)
+    vectors, inv_roots = _whitening(_unit_scaled(checked), rcond)
+    inv_roots = np.ldexp(inv_roots, _unit_exponent(checked) // 2)
     return _symmetric_part((vectors * inv_roots) @ vectors.conj().T, hermitian=True)
 
 
@@ -172,7 +173,7 @@ def _principal_spectra(pair: CovariancePair, ranks) -> list[CircularitySpectrum]
     if complementary.shape != covariance.shape:
         shapes = f"{covariance.shape} and {complementary.shape}"
         raise ValueError(f"covariance and complementary covariance differ in shape: {shapes}")
-    covariance, complementary = _unit_scaled(np.stack((covariance, complementary)), even=True)
+    covariance, complementary = _unit_scaled(np.stack((covariance, complementary)))
     vectors, inv_roots = _whitening(covariance, DEFAULT_RCOND)
     vectors, inv_roots = vectors[:, ::-1], inv_roots[::-1]
     rotated = _symmetric_part(vectors.conj().T @ complementary @ vectors.conj())
@@ -206,6 +207,7 @@ def pca_reduce(samples, rank: int) -> np.ndarray:
     """
     data = as_data_matrix(samples)
     channels, count = data.shape
+    rank = _whole("rank", rank)
     if not 1 <= rank <= min(channels, count):
         raise ValueError("rank must lie in 1..min(channels, snapshots)")
     vectors = np.linalg.eigh(sample_covariances(data).covariance)[1]
@@ -228,6 +230,7 @@ def circularity_profile(samples, r_max: int) -> list[CircularitySpectrum]:
     """
     data = as_data_matrix(samples)
     channels, count = data.shape
+    r_max = _whole("r_max", r_max)
     if not 1 <= r_max <= min(channels, count):
         raise ValueError("r_max must lie in 1..min(channels, snapshots)")
     return _principal_spectra(_covariance_pair(data, unit=True), range(1, r_max + 1))

@@ -185,6 +185,48 @@ class TestMdlItcReduced:
             mdl_itc_reduced(profile, 5, 300)
 
 
+REDUCED_DETECTORS = {
+    "itc_rr": lambda profile, r_max: mdl_itc_reduced(profile, r_max, 100),
+    "glrt_rr": lambda profile, r_max: glrt_reduced(profile, r_max, 0.005),
+}
+
+
+class TestMalformedProfiles:
+    @pytest.mark.parametrize("detector", REDUCED_DETECTORS)
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (
+                [spectrum_of([0.9, 0.1], 100), spectrum_of([0.9], 100)],
+                r"^profile\[r-1\] must be the rank-r spectrum for r = 1..r_max$",
+            ),
+            (
+                [spectrum_of([0.9], 50), spectrum_of([0.9, 0.1], 100)],
+                r"^the profile's spectra differ in sample count: \[50, 100\]$",
+            ),
+        ],
+        ids=["ranks-swapped", "mixed-counts"],
+    )
+    def test_refused_by_both_reduced_detectors(self, detector, profile, message):
+        with pytest.raises(ValueError, match=message):
+            REDUCED_DETECTORS[detector](profile, 2)
+
+    def test_mdl_sample_count_must_be_the_spectra_count(self):
+        profile = [spectrum_of([0.9], 100), spectrum_of([0.9, 0.1], 100)]
+        with pytest.raises(ValueError, match="^sample_count=7 differs from the profile's M=100$"):
+            mdl_itc_reduced(profile, 2, 7)
+        expected = result_bytes(mdl_itc_reduced(profile, 2, 100))
+        assert result_bytes(mdl_itc_reduced(profile, 2, 100.0)) == expected
+
+    @pytest.mark.parametrize("detector", REDUCED_DETECTORS)
+    def test_only_the_ranks_up_to_r_max_are_read(self, detector):
+        # a longer profile's tail is not part of the decision
+        profile = [spectrum_of([0.9], 100), spectrum_of([0.9, 0.1], 100)]
+        expected = result_bytes(REDUCED_DETECTORS[detector](profile, 2))
+        tail = [spectrum_of([0.5], 60)]
+        assert result_bytes(REDUCED_DETECTORS[detector](profile + tail, 2)) == expected
+
+
 class TestWilksStatistic:
     def test_zero_tail(self):
         statistic, df = wilks_statistic(spectrum_of([0.9, 0.0, 0.0], 100), 1)

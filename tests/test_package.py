@@ -7,7 +7,23 @@ import numpy as np
 import pytest
 
 import improperdim
-from improperdim import detectors, fileio, harness, numerics, simulate, stats, write_dataset
+from improperdim import (
+    NoiseSpec,
+    ScenarioConfig,
+    circularity_profile,
+    detectors,
+    fileio,
+    glrt_reduced,
+    harness,
+    mdl_itc_reduced,
+    numerics,
+    pca_reduce,
+    simulate,
+    stats,
+    steering_matrix,
+    write_dataset,
+)
+from helpers import result_bytes
 
 MODULES = (detectors, fileio, harness, numerics, simulate, stats)
 
@@ -60,13 +76,69 @@ def test_star_import_binds_exactly_all():
 def test_write_dataset_matches_per_value_format(tmp_path):
     special = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324, 0.1, -1.7976931348623157e308]
     rng = np.random.default_rng(11)
-    rows = np.array([special, rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)])
+    random = rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
+    rows = np.array([special, [1e300, -1e300, -0.0, -0.0, 5e-324, 1e300], random])
     # rows are snapshots with re/im interleaved over three channels
-    data = (rows[:, 0::2] + 1j * rows[:, 1::2]).T
-    data.real[0, 0] = -0.0  # 1j * im would have turned it into +0.0
-    path = tmp_path / "special.txt"
-    write_dataset(path, data)
-    expected = "improperdim v1 m=3 M=2\n" + "".join(
+    data = rows.view(np.complex128).T
+    expected = "improperdim v1 m=3 M=3\n" + "".join(
         " ".join(format(value, ".17g") for value in row) + "\n" for row in rows
     )
-    assert path.read_bytes() == expected.encode("ascii")
+    path = tmp_path / "special.txt"
+    # C order, the F-order view a loaded matrix has, and a strided view
+    for layout in (np.ascontiguousarray(data), data, np.repeat(data, 2, axis=1)[:, ::2]):
+        write_dataset(path, layout)
+        assert path.read_bytes() == expected.encode("ascii")
+
+
+WHITE = NoiseSpec("white", 1.0)
+_RNG = np.random.default_rng(4)
+DATA = _RNG.standard_normal((3, 40)) + 0.5j * _RNG.standard_normal((3, 40))
+PROFILE = circularity_profile(DATA, 3)
+
+# every public entry that takes a count, with that count set to ``value``
+COUNT_ENTRIES = {
+    "ScenarioConfig.sensor_count": lambda value: ScenarioConfig(value, (), (), WHITE, 10, 1),
+    "ScenarioConfig.snapshot_count": lambda value: ScenarioConfig(6, (), (), WHITE, value, 1),
+    "ScenarioConfig.seed": lambda value: ScenarioConfig(6, (), (), WHITE, 10, value),
+    "steering_matrix": lambda value: steering_matrix([10.0], value),
+    "circularity_profile": lambda value: circularity_profile(DATA, value),
+    "pca_reduce": lambda value: pca_reduce(DATA, value),
+    "mdl_itc_reduced": lambda value: mdl_itc_reduced(PROFILE, value, 40),
+    "glrt_reduced": lambda value: glrt_reduced(PROFILE, value, 0.005),
+}
+
+
+def comparable(value):
+    """A call's return value in a form == compares exactly: arrays by their
+    bytes, results field by field, a config with the types of its fields."""
+    if isinstance(value, list):
+        return [comparable(entry) for entry in value]
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    fields = result_bytes(value)
+    return fields, [type(field) for field in fields.values()]
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, float("nan")], ids=repr)
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_every_public_count_refuses_a_non_integer(entry, value):
+    with pytest.raises(ValueError, match=" must be an integer, got "):
+        COUNT_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_every_public_count_takes_an_integral_float_as_its_int(entry):
+    assert comparable(COUNT_ENTRIES[entry](2.0)) == comparable(COUNT_ENTRIES[entry](2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ScenarioConfig(0, (), (), WHITE, 10, 1), "sensor_count must be at least 1"),
+        (lambda: ScenarioConfig(6, (), (), WHITE, 0, 1), "snapshot_count must be at least 1"),
+        (lambda: steering_matrix([10.0], 0), "sensor_count must be at least 1"),
+    ],
+)
+def test_counts_below_one_keep_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
