@@ -191,14 +191,14 @@ def _checked_profile(profile, r_max, sample_count=None) -> tuple[list, int, int]
 
 
 def mdl_itc_reduced(
-    profile: Sequence[CircularitySpectrum], r_max: int, sample_count: int
+    profile: Sequence[CircularitySpectrum], r_max: int, sample_count: int | None = None
 ) -> ItcDiagnostics:
     """Joint rank selection and order estimation from a circularity profile.
 
     For each rank r = 1..r_max the criterion is minimized over d = 0..r-1
     (ties toward smaller d); the estimate is the maximum over ranks and
     the selected rank the smallest one attaining it. ``profile[r-1]`` must
-    be the rank-r spectrum, each of ``sample_count`` snapshots.
+    be the rank-r spectrum; all share one M, which ``sample_count`` may repeat.
     """
     spectra, r_max, sample_count = _checked_profile(profile, r_max, sample_count)
     scores, winners = _mdl_table(spectra, np.arange(1, r_max + 1), sample_count)

@@ -56,18 +56,16 @@ __all__ = [
 
 
 # What each detector name means: whether it scans PCA ranks 1..r_max (else it takes the
-# one rank-m spectrum), whether it takes a p_fa, and its decision on the spectra, given the
-# keywords it names of r_max, count (M), p_fa and rule.
+# one rank-m spectrum), whether it takes a p_fa, and its decision, called as
+# decide(spectra, r_max, p_fa, rule); each reads M from its spectra.
 _Detector = namedtuple("_Detector", "reduced tested decide")
 _DETECTORS = {
-    "itc_full": _Detector(False, False, lambda spectra, **_: mdl_itc_full(spectra[0])),
-    "itc_rr": _Detector(
-        True, False, lambda spectra, r_max, count, **_: mdl_itc_reduced(spectra, r_max, count)
+    "itc_full": _Detector(False, False, lambda spectra, *_: mdl_itc_full(spectra[0])),
+    "itc_rr": _Detector(True, False, lambda spectra, r_max, *_: mdl_itc_reduced(spectra, r_max)),
+    "glrt_full": _Detector(
+        False, True, lambda spectra, r_max, p_fa, *_: glrt_full(spectra[0], p_fa)
     ),
-    "glrt_full": _Detector(False, True, lambda spectra, p_fa, **_: glrt_full(spectra[0], p_fa)),
-    "glrt_rr": _Detector(
-        True, True, lambda spectra, r_max, p_fa, rule, **_: glrt_reduced(spectra, r_max, p_fa, rule)
-    ),
+    "glrt_rr": _Detector(True, True, glrt_reduced),
 }
 DETECTOR_NAMES = tuple(_DETECTORS)
 CSV_HEADER = "detector,p_fa,M,trials,p_detect,mean_selected_rank"
@@ -127,15 +125,13 @@ def _decide(data, detectors, r_max, p_fas, box_df: str) -> dict:
     scans = [_DETECTORS[name].reduced for name in detectors]
     rank_cap = _resolved_r_max(r_max, channels, count) if any(scans) else 0
     full = [] if all(scans) or rank_cap == channels else [channels]
-    pair = _covariance_pair(data, unit=True)
-    spectra = _principal_spectra(pair, [*range(1, rank_cap + 1), *full])
-    options = {"r_max": rank_cap, "count": count, "rule": box_df}
+    spectra = _principal_spectra(_covariance_pair(data)[0], [*range(1, rank_cap + 1), *full])
     outcomes = {}
     for name in detectors:
         reduced, tested, decide = _DETECTORS[name]
         chosen = spectra[:rank_cap] if reduced else spectra[-1:]
         for p_fa in p_fas if tested else (None,):
-            outcomes[name, p_fa] = decide(chosen, p_fa=p_fa, **options)
+            outcomes[name, p_fa] = decide(chosen, rank_cap, p_fa, box_df)
     return outcomes
 
 

@@ -87,18 +87,20 @@ def as_data_matrix(samples) -> np.ndarray:
 def sample_covariances(samples) -> CovariancePair:
     """Sample covariance and complementary covariance with 1/M scaling.
 
-    Zero-mean convention: no sample mean is subtracted. The covariance is
-    re-Hermitized and the complementary re-symmetrized so the pair
-    satisfies its structure exactly, not just to rounding.
+    Zero-mean convention: no sample mean is subtracted. The pair is formed
+    at unit scale and brought back by one exact power of two, so it is finite
+    wherever it is representable, and its structure holds exactly.
     """
-    return _covariance_pair(as_data_matrix(samples))
+    pair, exponent = _covariance_pair(as_data_matrix(samples))
+    stacked = np.stack((pair.covariance, pair.complementary)).view(np.float64)
+    return CovariancePair(*np.ldexp(stacked, -2 * exponent).view(np.complex128), pair.sample_count)
 
 
-def _covariance_pair(data: np.ndarray, unit: bool = False) -> CovariancePair:
-    """The pair of a checked data matrix times 2**k: k = 0, or with ``unit``
-    the even k that puts its largest real or imaginary part in [0.25, 1), which
-    keeps the pair finite across the double range and bit-identical under
-    power-of-two scaling.
+def _covariance_pair(data: np.ndarray) -> tuple[CovariancePair, int]:
+    """The pair of a checked data matrix times 2**k, and k: the even exponent
+    that puts its largest real or imaginary part in [0.25, 1). It is the one
+    scale of every pair, which keeps the pair finite across the double range
+    and bit-identical under power-of-two scaling.
 
     One real Gram G = sum_b X_b X_b^T over blocks X_b = 2**k [Re; Im] of
     ``_GRAM_BLOCK`` snapshots gives both: with G's m x m blocks G11, G12,
@@ -108,7 +110,7 @@ def _covariance_pair(data: np.ndarray, unit: bool = False) -> CovariancePair:
     any strides.
     """
     channels, count = data.shape
-    exponent = _unit_exponent(data) if unit else 0
+    exponent = _unit_exponent(data)
     gram = np.zeros((2 * channels, 2 * channels))
     block = np.empty((2 * channels, min(count, _GRAM_BLOCK)))
     for start in range(0, count, _GRAM_BLOCK):
@@ -120,7 +122,7 @@ def _covariance_pair(data: np.ndarray, unit: bool = False) -> CovariancePair:
     (g11, g12), (g21, g22) = (np.hsplit(half, 2) for half in np.vsplit(gram, 2))
     covariance = _symmetric_part((g11 + g22 + 1j * (g21 - g12)) / count, hermitian=True)
     complementary = _symmetric_part((g11 - g22 + 1j * (g12 + g21)) / count)
-    return CovariancePair(covariance, complementary, count)
+    return CovariancePair(covariance, complementary, count), exponent
 
 
 def augmented_covariance(pair: CovariancePair) -> np.ndarray:
@@ -197,6 +199,14 @@ def circularity_coefficients(pair: CovariancePair) -> CircularitySpectrum:
     return _principal_spectra(pair, None)[0]
 
 
+def _data_and_rank(samples, name: str, rank) -> tuple[np.ndarray, int]:
+    """The checked data matrix and ``rank`` (called ``name``) as an int in 1..min(m, M)."""
+    data, rank = as_data_matrix(samples), _whole(name, rank)
+    if not 1 <= rank <= min(data.shape):
+        raise ValueError(f"{name} must lie in 1..min(channels, snapshots)")
+    return data, rank
+
+
 def pca_reduce(samples, rank: int) -> np.ndarray:
     """Project the data onto its ``rank`` leading principal directions.
 
@@ -205,11 +215,7 @@ def pca_reduce(samples, rank: int) -> np.ndarray:
     modulus entry rotated real positive), so the output is reproducible
     across platforms.
     """
-    data = as_data_matrix(samples)
-    channels, count = data.shape
-    rank = _whole("rank", rank)
-    if not 1 <= rank <= min(channels, count):
-        raise ValueError("rank must lie in 1..min(channels, snapshots)")
+    data, rank = _data_and_rank(samples, "rank", rank)
     vectors = np.linalg.eigh(sample_covariances(data).covariance)[1]
     basis = vectors[:, ::-1][:, :rank]
     # rotate each eigenvector so its largest-modulus entry is real positive
@@ -228,9 +234,5 @@ def circularity_profile(samples, r_max: int) -> list[CircularitySpectrum]:
     them, so the profile is the same across the double range and
     bit-identical under power-of-two scaling.
     """
-    data = as_data_matrix(samples)
-    channels, count = data.shape
-    r_max = _whole("r_max", r_max)
-    if not 1 <= r_max <= min(channels, count):
-        raise ValueError("r_max must lie in 1..min(channels, snapshots)")
-    return _principal_spectra(_covariance_pair(data, unit=True), range(1, r_max + 1))
+    data, r_max = _data_and_rank(samples, "r_max", r_max)
+    return _principal_spectra(_covariance_pair(data)[0], range(1, r_max + 1))

@@ -218,6 +218,11 @@ class TestMalformedProfiles:
         expected = result_bytes(mdl_itc_reduced(profile, 2, 100))
         assert result_bytes(mdl_itc_reduced(profile, 2, 100.0)) == expected
 
+    def test_mdl_reads_the_sample_count_from_the_spectra(self):
+        profile = circularity_profile(generate_scenario(small_scenario(snapshot_count=300)), 5)
+        expected = result_bytes(mdl_itc_reduced(profile, 5, 300))
+        assert result_bytes(mdl_itc_reduced(profile, 5)) == expected
+
     @pytest.mark.parametrize("detector", REDUCED_DETECTORS)
     def test_only_the_ranks_up_to_r_max_are_read(self, detector):
         # a longer profile's tail is not part of the decision

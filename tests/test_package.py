@@ -2,6 +2,7 @@
 names, and the package re-exports them all."""
 
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,3 +143,14 @@ def test_every_public_count_takes_an_integral_float_as_its_int(entry):
 def test_counts_below_one_keep_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_no_source_line_is_longer_than_100_characters():
+    package = Path(improperdim.__file__).parent
+    long_lines = [
+        f"{path.name}:{number}: {len(line)} characters"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []

@@ -5,8 +5,9 @@ plan parsers fail on any input with FormatError only, the CLI ends any
 detect run in exit 0, 2 or 3, and the paper's invariants hold on random
 improper data: coefficients in [0, 1], the forced ones at M < 2m,
 bit-identical detection under power-of-two scaling, a scale-free
-structure check, a bit-equivariant inverse square root, and covariance
-pairs invariant under channel transforms."""
+structure check, a bit-equivariant inverse square root, covariance
+pairs invariant under channel transforms, and coefficients invariant under
+conjugation, snapshot order and channel transforms of the data."""
 
 import contextlib
 import io
@@ -460,6 +461,60 @@ def test_channel_transforms_keep_the_coefficients(data, seed, log_cond):
     assume(amplification < 1e10)  # clear of the 1e-12 eigenvalue cut
     expected = circularity_coefficients(pair).coefficients
     got = circularity_coefficients(moved).coefficients
+    assert np.abs(got - expected).max() <= 8 * size * np.finfo(float).eps * amplification
+
+
+def _profile_amplifications(data):
+    """Per rank r, how much a rounding-sized change of the covariance can move
+    the rank-r coefficients, in units of that change over the largest
+    eigenvalue l_1: l_1 / l_r from whitening by the rank-r eigenvalues, plus
+    l_1 / (l_r - l_(r+1)) from the turn of the rank-r principal subspace
+    (none at r = m, whose coefficients do not depend on a basis)."""
+    values = np.linalg.eigvalsh(sample_covariances(data).covariance)[::-1]
+    gaps = np.append(values[:-1] - values[1:], np.inf)
+    return values[0] / values + values[0] / gaps
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=improper_data(lambda size: st.integers(2 * size, 30 * size)), seed=seeds)
+def test_conjugation_and_snapshot_order_keep_the_profile(data, seed):
+    # conjugating negates the imaginary rows of the Gram's stack, so the pair is
+    # the exact conjugate (the coefficients were bit-identical in 3000 random
+    # draws); a permutation sums the Gram in another order, which changes it
+    # by about m eps of its largest eigenvalue, and each rank's coefficients
+    # move by that times its amplification (at most 3 of those over 3000 draws)
+    size, count = data.shape
+    amplifications = _profile_amplifications(data)
+    assume(amplifications[-1] < 1e10)  # clear of the 1e-12 eigenvalue cut
+    expected = circularity_profile(data, size)
+    permuted = data[:, np.random.default_rng(seed).permutation(count)]
+    for moved in (data.conj(), permuted):
+        for got, want, amplification in zip(
+            circularity_profile(moved, size), expected, amplifications
+        ):
+            error = np.abs(got.coefficients - want.coefficients).max()
+            assert error <= 8 * size * np.finfo(float).eps * amplification
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    data=improper_data(lambda size: st.integers(2 * size, 30 * size)),
+    seed=seeds,
+    log_cond=st.floats(0.0, 3.0),
+)
+def test_channel_transforms_of_the_data_keep_the_coefficients(data, seed, log_cond):
+    # the rank-m coefficients of T x, with T as in the pair-level property;
+    # T @ x errs by about m eps |T| |x|, which the pair and the whitening
+    # carry as m eps cond(T)^2 cond(C) (at most 2.5 of those over 3000 draws).
+    # The lower ranks are not invariant: T moves the principal subspaces
+    size, count = data.shape
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** (-log_cond * rng.uniform(0.0, 1.0, size))
+    transform = (_random_unitary(rng, size) * spread) @ _random_unitary(rng, size)
+    amplification = np.linalg.cond(transform) ** 2 * _profile_amplifications(data)[-1]
+    assume(amplification < 1e10)  # clear of the 1e-12 eigenvalue cut
+    expected = circularity_profile(data, size)[-1].coefficients
+    got = circularity_profile(transform @ data, size)[-1].coefficients
     assert np.abs(got - expected).max() <= 8 * size * np.finfo(float).eps * amplification
 
 

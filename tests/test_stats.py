@@ -324,6 +324,39 @@ class TestDoubleRangeEdges:
         with pytest.raises(ValueError, match="covariance is not finite"):
             circularity_coefficients(nan_pair)
 
+    @pytest.fixture
+    def normal(self):
+        return proper_white(np.random.default_rng(26), 6, 1000)
+
+    # at 2**509 and 2**510 the Gram of the data overflows at its own scale,
+    # while the pair, about 4**k, is representable
+    @pytest.mark.parametrize("exponent", [509, 510])
+    def test_pair_is_finite_and_exact_where_the_data_scale_gram_overflows(self, normal, exponent):
+        pair = sample_covariances(2.0**exponent * normal)
+        reference = sample_covariances(normal)
+        for got, unit in zip(
+            (pair.covariance, pair.complementary), (reference.covariance, reference.complementary)
+        ):
+            assert np.all(np.isfinite(got))
+            expected = np.ldexp(unit.view(np.float64), 2 * exponent).view(np.complex128)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("exponent", [509, 510])
+    def test_sample_pair_and_profile_agree_where_the_data_scale_gram_overflows(
+        self, normal, exponent
+    ):
+        scaled = 2.0**exponent * normal
+        expected = circularity_profile(scaled, 6)[-1].coefficients
+        got = circularity_coefficients(sample_covariances(scaled)).coefficients
+        assert got.tobytes() == expected.tobytes()
+
+    def test_pca_reduce_where_the_data_scale_gram_overflows(self, normal):
+        # the covariance, near 2**1018, reaches eigh at the data's scale, and
+        # LAPACK rescales it by a factor that is not a power of two: close,
+        # not bit-exact
+        got = pca_reduce(2.0**509 * normal, 2)
+        np.testing.assert_allclose(got, 2.0**509 * pca_reduce(normal, 2), rtol=1e-9)
+
     def test_finite_entries_near_the_largest_double_do_not_overflow(self):
         # 1.5e308 + 1.5e308 overflows; the re-symmetrisation halves first
         pair = CovariancePair(np.diag([1.5e308, 1.0]), np.eye(2), 10)
